@@ -1,7 +1,11 @@
 // Command fms runs the Feature Monitor Server (paper §III-E): it accepts
 // FMC connections over TCP, assembles each client's datapoint stream into
-// a data history, and writes one CSV per client on shutdown
-// (SIGINT/SIGTERM) or after -duration.
+// a data history, and keeps one CSV per client: a run is appended to
+// history-<id>.csv when its fail event closes it, the unfinished runs on
+// shutdown (SIGINT/SIGTERM) or after -duration. Memory stays flat
+// however long it runs; a single run longer than the server's per-client
+// window (16384 datapoints) loses its oldest datapoints, and the
+// counters printed at exit say how many.
 //
 // With -serve-model, the FMS also serves predictions: every received
 // datapoint feeds the sender's session in a prediction service, RTTF
@@ -44,7 +48,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -96,7 +99,8 @@ func main() {
 		svc  *f2pm.PredictionService
 		opts []f2pm.MonitorServerOption
 	)
-	opts = append(opts, f2pm.WithMonitorContext(ctx))
+	histories := newHistoryFiles(*outdir)
+	opts = append(opts, f2pm.WithMonitorContext(ctx), f2pm.WithMonitorRunSink(histories.sink))
 	serveOpts := []f2pm.ServeOption{
 		f2pm.WithEstimateFunc(func(e f2pm.Estimate) {
 			fmt.Printf("client=%s t=%.1fs predicted_rttf=%.1fs model=%s/v%d\n",
@@ -213,9 +217,9 @@ func main() {
 
 	<-ctx.Done()
 	// Drain in dependency order: the server stops feeding first, then
-	// the service finishes its queued predictions, then the assembled
-	// histories (including any unfinished final run) are written out —
-	// no datapoint received before shutdown is lost.
+	// the service finishes its queued predictions, then the unfinished
+	// runs join the closed ones already in the history files — no
+	// datapoint received before shutdown is lost.
 	if err := srv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "fms: close:", err)
 	}
@@ -232,24 +236,8 @@ func main() {
 		}
 	}
 
-	for _, id := range srv.Clients() {
-		h, ok := srv.History(id)
-		if !ok {
-			continue
-		}
-		path := filepath.Join(*outdir, fmt.Sprintf("history-%s.csv", id))
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fms:", err)
-			continue
-		}
-		if err := f2pm.WriteHistoryCSV(f, h); err != nil {
-			fmt.Fprintln(os.Stderr, "fms:", err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "fms: wrote %s (%d runs, %d datapoints)\n",
-			path, len(h.Runs), h.TotalDatapoints())
-	}
+	fmt.Fprintf(os.Stderr, "fms: monitor %s\n", srv.Stats())
+	histories.finish(srv)
 }
 
 // heartbeatLoop reports this node's health to the registry every poll

@@ -322,6 +322,15 @@ func ReadHistoryCSV(r io.Reader) (*History, error) { return trace.ReadCSV(r) }
 // WriteHistoryCSV persists a data history as CSV.
 func WriteHistoryCSV(w io.Writer, h *History) error { return trace.WriteCSV(w, h) }
 
+// HistoryCSVWriter streams a data history to CSV one run at a time
+// (WriteRun, then Flush) without holding it in memory; what it writes
+// is what WriteHistoryCSV writes for the same runs.
+type HistoryCSVWriter = trace.CSVWriter
+
+// NewHistoryCSVWriter writes the CSV header to w and returns the writer
+// for the runs that follow.
+func NewHistoryCSVWriter(w io.Writer) (*HistoryCSVWriter, error) { return trace.NewCSVWriter(w) }
+
 // Aggregation (paper §III-B).
 type (
 	// AggregationConfig controls windowing and derived metrics.

@@ -26,6 +26,16 @@ func sampleDatapoint(tgen float64) trace.Datapoint {
 	return d
 }
 
+// readMessage reads one message the way a connection goroutine does:
+// a bounded frame, then the decoder.
+func readMessage(r *bufio.Reader) (*Message, error) {
+	line, err := readFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeMessage(line)
+}
+
 func TestMessageRoundTrip(t *testing.T) {
 	d := sampleDatapoint(1.5)
 	m := DatapointMessage(&d)
@@ -119,7 +129,9 @@ func TestClientServerEndToEnd(t *testing.T) {
 	var h *trace.History
 	for time.Now().Before(deadline) {
 		got, ok := srv.History("vm-1")
-		if ok && len(got.Runs) == 2 {
+		// History reports the open run as a run from its first
+		// datapoint: wait for run 0 closed and run 1 whole.
+		if ok && len(got.Runs) == 2 && got.Runs[0].Failed && len(got.Runs[1].Datapoints) == 2 {
 			h = got
 			break
 		}
@@ -485,7 +497,8 @@ func TestServerIgnoresOutOfOrderDatapoints(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		h, ok := srv.History("ooo")
-		if ok && len(h.Runs) == 1 {
+		// Failed: History reports the still-open run as a run too.
+		if ok && len(h.Runs) == 1 && h.Runs[0].Failed {
 			if got := len(h.Runs[0].Datapoints); got != 3 {
 				t.Fatalf("kept %d datapoints, want 3 (straggler dropped)", got)
 			}

@@ -13,6 +13,7 @@ package monitor
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -107,15 +108,33 @@ func writeMessage(w *bufio.Writer, m *Message) error {
 	return w.Flush()
 }
 
-// readMessage decodes one JSON line; io.EOF signals a clean end.
-func readMessage(r *bufio.Reader) (*Message, error) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		if err == io.EOF && len(line) == 0 {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("monitor: reading message: %w", err)
+// maxFrame bounds one wire line, newline included. The server reads
+// through a buffer of exactly this size, so a client that never sends a
+// newline costs it this much memory and no more.
+const maxFrame = 64 << 10
+
+// errFrameTooLong reports a line that does not fit the reader's buffer.
+var errFrameTooLong = errors.New("monitor: message exceeds the frame limit")
+
+// readFrame returns the next line, newline included, as a view into r's
+// buffer that the next read overwrites. io.EOF, returned bare, is a
+// stream that ended between lines; a line longer than the buffer is
+// errFrameTooLong; anything else is the transport failing mid-line.
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	switch {
+	case err == nil:
+		return line, nil
+	case err == bufio.ErrBufferFull:
+		return nil, errFrameTooLong
+	case err == io.EOF && len(line) == 0:
+		return nil, io.EOF
 	}
+	return nil, fmt.Errorf("monitor: reading message: %w", err)
+}
+
+// decodeMessage parses and validates one JSON line.
+func decodeMessage(line []byte) (*Message, error) {
 	var m Message
 	if err := json.Unmarshal(line, &m); err != nil {
 		return nil, fmt.Errorf("monitor: decoding message: %w", err)

@@ -20,50 +20,83 @@ const (
 	eventFail   = "fail"
 )
 
-// WriteCSV serializes the history to w.
-func WriteCSV(w io.Writer, h *History) error {
+// CSVWriter streams a history to CSV one run at a time: the header goes
+// out when the writer is created, each WriteRun appends that run's rows
+// under the next run id, and nothing but the current row is held in
+// memory. A daemon appends runs as they close; WriteCSV is the same
+// writer fed a whole history.
+type CSVWriter struct {
+	cw   *csv.Writer
+	row  []string
+	runs int
+}
+
+// NewCSVWriter writes the CSV header to w and returns a writer whose
+// first WriteRun is run 0.
+func NewCSVWriter(w io.Writer) (*CSVWriter, error) {
 	cw := csv.NewWriter(w)
 	header := append([]string{"run", "event", "tgen"}, FeatureNames()...)
 	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("trace: writing CSV header: %w", err)
+		return nil, fmt.Errorf("trace: writing CSV header: %w", err)
 	}
-	row := make([]string, len(header))
+	return &CSVWriter{cw: cw, row: make([]string, len(header))}, nil
+}
+
+// WriteRun appends one run: its datapoints, then the fail row when the
+// run failed. Output is buffered; call Flush to push it to the
+// underlying writer.
+func (w *CSVWriter) WriteRun(r *Run) error {
+	row := w.row
+	row[0] = strconv.Itoa(w.runs)
+	w.runs++
+	row[1] = eventSample
+	for di := range r.Datapoints {
+		d := &r.Datapoints[di]
+		row[2] = formatFloat(d.Tgen)
+		for fi, v := range d.Features {
+			row[3+fi] = formatFloat(v)
+		}
+		if err := w.cw.Write(row); err != nil {
+			return fmt.Errorf("trace: writing CSV row: %w", err)
+		}
+	}
+	if !r.Failed {
+		return nil
+	}
+	// The fail row repeats the last sample's features, which row still
+	// holds; with no sample it carries zeros.
+	row[1] = eventFail
+	row[2] = formatFloat(r.FailTime)
+	if len(r.Datapoints) == 0 {
+		for fi := 0; fi < NumFeatures; fi++ {
+			row[3+fi] = "0"
+		}
+	}
+	if err := w.cw.Write(row); err != nil {
+		return fmt.Errorf("trace: writing CSV fail row: %w", err)
+	}
+	return nil
+}
+
+// Flush writes buffered rows to the underlying writer and reports any
+// error a write has hit so far.
+func (w *CSVWriter) Flush() error {
+	w.cw.Flush()
+	return w.cw.Error()
+}
+
+// WriteCSV serializes the history to w.
+func WriteCSV(w io.Writer, h *History) error {
+	cw, err := NewCSVWriter(w)
+	if err != nil {
+		return err
+	}
 	for ri := range h.Runs {
-		r := &h.Runs[ri]
-		for di := range r.Datapoints {
-			d := &r.Datapoints[di]
-			row[0] = strconv.Itoa(ri)
-			row[1] = eventSample
-			row[2] = formatFloat(d.Tgen)
-			for fi, v := range d.Features {
-				row[3+fi] = formatFloat(v)
-			}
-			if err := cw.Write(row); err != nil {
-				return fmt.Errorf("trace: writing CSV row: %w", err)
-			}
-		}
-		if r.Failed {
-			row[0] = strconv.Itoa(ri)
-			row[1] = eventFail
-			row[2] = formatFloat(r.FailTime)
-			var last *Datapoint
-			if n := len(r.Datapoints); n > 0 {
-				last = &r.Datapoints[n-1]
-			}
-			for fi := 0; fi < NumFeatures; fi++ {
-				if last != nil {
-					row[3+fi] = formatFloat(last.Features[fi])
-				} else {
-					row[3+fi] = "0"
-				}
-			}
-			if err := cw.Write(row); err != nil {
-				return fmt.Errorf("trace: writing CSV fail row: %w", err)
-			}
+		if err := cw.WriteRun(&h.Runs[ri]); err != nil {
+			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return cw.Flush()
 }
 
 func formatFloat(v float64) string {

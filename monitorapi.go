@@ -17,6 +17,9 @@ type (
 	MonitorServer = monitor.Server
 	// MonitorServerOption configures an FMS.
 	MonitorServerOption = monitor.ServerOption
+	// MonitorServerStats counts what an FMS accepted and every reason
+	// it dropped input or a connection (MonitorServer.Stats).
+	MonitorServerStats = monitor.ServerStats
 	// MonitorStreamHandler receives the live FMC event stream (a
 	// PredictionService implements it).
 	MonitorStreamHandler = monitor.StreamHandler
@@ -47,8 +50,11 @@ func NewRandomSource(seed uint64) *RandomSource { return randx.New(seed) }
 
 // NewMonitorServer starts an FMS on addr (use "host:0" for an ephemeral
 // port; the chosen address is available via Addr). Options attach a
-// live stream handler (WithMonitorStream) and tie the server lifetime
-// to a context (WithMonitorContext).
+// live stream handler (WithMonitorStream), a destination for closed
+// runs (WithMonitorRunSink) and tie the server lifetime to a context
+// (WithMonitorContext). The server keeps a bounded number of each
+// client's newest datapoints in memory (History); the run sink is how
+// a long-lived server keeps them all.
 func NewMonitorServer(addr string, opts ...MonitorServerOption) (*MonitorServer, error) {
 	return monitor.NewServer(addr, opts...)
 }
@@ -57,6 +63,14 @@ func NewMonitorServer(addr string, opts ...MonitorServerOption) (*MonitorServer,
 // as the server assembles it — pass a *PredictionService to close the
 // monitor → aggregate → predict → act loop in one process.
 func WithMonitorStream(h MonitorStreamHandler) MonitorServerOption { return monitor.WithStream(h) }
+
+// WithMonitorRunSink hands every run to sink as its fail event closes
+// it — once, in wire order, from the client's connection goroutine,
+// before the stream handler sees the fail. The run's datapoints are
+// shared with the server: read them, do not modify them.
+func WithMonitorRunSink(sink func(clientID string, run Run)) MonitorServerOption {
+	return monitor.WithRunSink(sink)
+}
 
 // WithMonitorContext closes the server when ctx is cancelled.
 func WithMonitorContext(ctx context.Context) MonitorServerOption {
