@@ -1,6 +1,7 @@
 package f2pm
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/autonomic"
@@ -48,11 +49,6 @@ type (
 	// OverloadPolicy tightens and relaxes the serving shed policy on
 	// sustained queue-depth watermarks.
 	OverloadPolicy = autonomic.OverloadPolicy
-	// SkewPolicy proposes a rebalance when the per-shard window-rate
-	// skew stays above its trigger for Sustain consecutive
-	// observations; the placement layer (WithPlacement) decides which
-	// sessions actually move.
-	SkewPolicy = autonomic.SkewPolicy
 )
 
 // Signal kinds a supervisor understands (see autonomic.SignalKind).
@@ -63,17 +59,15 @@ const (
 	SignalShed            = autonomic.SignalShed
 	SignalStaleness       = autonomic.SignalStaleness
 	SignalNewRuns         = autonomic.SignalNewRuns
-	SignalShardSkew       = autonomic.SignalShardSkew
 )
 
 // Action kinds a supervisor can take (see autonomic.ActionKind).
 const (
-	ActionRetrain   = autonomic.ActionRetrain
-	ActionSlide     = autonomic.ActionSlide
-	ActionPublish   = autonomic.ActionPublish
-	ActionRedeploy  = autonomic.ActionRedeploy
-	ActionReshard   = autonomic.ActionReshard
-	ActionRebalance = autonomic.ActionRebalance
+	ActionRetrain  = autonomic.ActionRetrain
+	ActionSlide    = autonomic.ActionSlide
+	ActionPublish  = autonomic.ActionPublish
+	ActionRedeploy = autonomic.ActionRedeploy
+	ActionReshard  = autonomic.ActionReshard
 )
 
 // NewSupervisor validates the configuration and returns a supervisor.
@@ -84,10 +78,10 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) { return autonomic
 
 // SuperviseService wires the standard serving-side feed for a
 // supervisor: a goroutine samples the service's stats every interval,
-// publishes queue-depth, shed-delta, registry-staleness, and per-shard
-// window-skew signals, and ticks the supervisor. It returns a stop
-// function; the loop also stops when the service's context is
-// cancelled via the done channel.
+// publishes queue-depth, shed-delta, and registry-staleness signals,
+// and ticks the supervisor. It returns a stop function, safe to call
+// more than once and from several goroutines; the loop also stops when
+// the service's context is cancelled via the done channel.
 //
 // This is the daemon-shaped convenience over the deterministic core:
 // tests and simulations should instead call Signal/Tick directly on a
@@ -98,7 +92,6 @@ func SuperviseService(sup *Supervisor, svc *PredictionService, every time.Durati
 		t := time.NewTicker(every)
 		defer t.Stop()
 		var lastShed uint64
-		var lastWin []uint64
 		for {
 			select {
 			case <-quit:
@@ -118,49 +111,10 @@ func SuperviseService(sup *Supervisor, svc *PredictionService, every time.Durati
 				} else {
 					sup.Signal(SupervisorSignal{Kind: SignalStaleness, At: now, Value: 0})
 				}
-				// Per-shard window skew (max/mean of the windows enqueued
-				// since the previous sample) — the SkewPolicy's input.
-				if skew, ok := shardSkew(st.ShardLoads, lastWin); ok {
-					sup.Signal(SupervisorSignal{Kind: SignalShardSkew, At: now, Value: skew})
-				}
-				lastWin = lastWin[:0]
-				for _, ld := range st.ShardLoads {
-					lastWin = append(lastWin, ld.Windows)
-				}
 				sup.Tick(now)
 			}
 		}
 	}()
-	var once bool
-	return func() {
-		if !once {
-			once = true
-			close(quit)
-		}
-	}
-}
-
-// shardSkew differences the cumulative per-shard window counters
-// against the previous sample and returns max/mean of the deltas — 1.0
-// is perfectly balanced. ok is false with fewer than two shards or no
-// windows in the interval (a skew of an idle fleet is meaningless).
-func shardSkew(loads []ShardLoad, prev []uint64) (float64, bool) {
-	if len(loads) < 2 {
-		return 0, false
-	}
-	var total, max float64
-	for i, ld := range loads {
-		d := float64(ld.Windows)
-		if i < len(prev) {
-			d -= float64(prev[i])
-		}
-		if d > max {
-			max = d
-		}
-		total += d
-	}
-	if total <= 0 {
-		return 0, false
-	}
-	return max / (total / float64(len(loads))), true
+	var once sync.Once
+	return func() { once.Do(func() { close(quit) }) }
 }

@@ -26,20 +26,12 @@
 // back, and every decision — including suppressed ones — is logged to
 // stderr.
 //
-// With -placement load, sessions route through a load-tracked placer
-// instead of the default stateless hash: per-shard window rates are
-// tracked, and when the hottest shard sustains more than -skew-trigger
-// times the mean rate the supervisor (requires -supervise) fires the
-// rebalance actuator, migrating the hottest movable sessions onto the
-// coldest shards with exact window accounting.
-//
 // Usage:
 //
 //	fms -listen :7070 -outdir histories/
 //	fms -listen :7070 -serve-model best.model -alert-below 60
 //	fms -listen :7070 -registry http://10.0.0.9:7071 -model-cache last.model
 //	fms -listen :7070 -serve-model best.model -supervise -overload-high 64
-//	fms -listen :7070 -serve-model best.model -supervise -placement load -skew-trigger 1.5
 package main
 
 import (
@@ -71,10 +63,6 @@ func main() {
 		superviseTick = flag.Duration("supervise-every", 5*time.Second, "supervisor sampling interval (with -supervise)")
 		overloadHigh  = flag.Float64("overload-high", 48, "queue depth that arms the overload shed tightening (with -supervise)")
 		shedFloor     = flag.Int("shed-floor", 1, "priority floor installed while overloaded: windows below it are shed (with -supervise)")
-
-		placement     = flag.String("placement", "hash", "session placement policy: hash (stateless FNV) or load (load-tracked, migratable)")
-		skewWatermark = flag.Float64("skew-watermark", 1.5, "shard skew (max/mean window rate) past which the load placer plans migrations (with -placement load)")
-		skewTrigger   = flag.Float64("skew-trigger", 1.8, "sustained shard skew that makes the supervisor fire a rebalance (with -supervise -placement load)")
 	)
 	flag.Parse()
 	if *servePath != "" && *regURL != "" {
@@ -82,9 +70,6 @@ func main() {
 	}
 	if *supervise && *servePath == "" && *regURL == "" {
 		fatal(fmt.Errorf("-supervise needs a prediction service (-serve-model or -registry)"))
-	}
-	if *placement != "hash" && *placement != "load" {
-		fatal(fmt.Errorf("-placement must be hash or load, got %q", *placement))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -110,10 +95,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fms: ALERT client=%s RTTF %.1fs below %.1fs\n",
 				a.SessionID, a.RTTF, a.Threshold)
 		}),
-	}
-	if *placement == "load" {
-		serveOpts = append(serveOpts, f2pm.WithPlacement(
-			f2pm.NewLoadPlacer(f2pm.LoadPlacerConfig{SkewWatermark: *skewWatermark})))
 	}
 	switch {
 	case *servePath != "":
@@ -181,14 +162,6 @@ func main() {
 				return svc.SetShedPolicy(f2pm.ShedPolicy{MaxQueueDepth: depth, MinPriority: floor})
 			},
 		}
-		if *placement == "load" && *skewTrigger > 1 {
-			policies = append(policies, &f2pm.SkewPolicy{High: *skewTrigger})
-			actuators.Rebalance = func(reason string) error {
-				moved := svc.Rebalance()
-				fmt.Fprintf(os.Stderr, "fms: rebalance migrated %d sessions (%s)\n", moved, reason)
-				return nil
-			}
-		}
 		sup, err := f2pm.NewSupervisor(f2pm.SupervisorConfig{
 			Policies:        policies,
 			Actuators:       actuators,
@@ -203,10 +176,6 @@ func main() {
 		stopSupervisor = f2pm.SuperviseService(sup, svc, *superviseTick, ctx.Done())
 		fmt.Fprintf(os.Stderr, "fms: overload supervisor armed (high watermark %g, floor %d, every %s)\n",
 			*overloadHigh, *shedFloor, *superviseTick)
-		if actuators.Rebalance != nil {
-			fmt.Fprintf(os.Stderr, "fms: placement rebalancer armed (watermark %g, trigger %g)\n",
-				*skewWatermark, *skewTrigger)
-		}
 	}
 
 	srv, err := f2pm.NewMonitorServer(*listen, opts...)
@@ -231,9 +200,6 @@ func main() {
 		st := svc.Stats()
 		fmt.Fprintf(os.Stderr, "fms: served %d predictions (%d alerts) across %d sessions\n",
 			st.Predictions, st.Alerts, st.Sessions)
-		if st.Migrations > 0 {
-			fmt.Fprintf(os.Stderr, "fms: placement migrated %d sessions across shards\n", st.Migrations)
-		}
 	}
 
 	fmt.Fprintf(os.Stderr, "fms: monitor %s\n", srv.Stats())

@@ -115,20 +115,15 @@
 // ServeStats.ShedByPriority) while higher-priority sessions keep their
 // zero-drop guarantee.
 //
-// How sessions map onto shards is a pluggable placement policy
-// (WithPlacement). The default HashPlacer routes by FNV hash —
-// stateless and bitwise-identical to the pre-placement service. A
-// LoadPlacer (NewLoadPlacer) instead tracks per-shard window rates
-// with an EWMA and, when the hottest shard's rate exceeds its
-// SkewWatermark multiple of the mean, plans migrations of the hottest
-// movable sessions onto the coldest shards; PredictionService.Rebalance
-// executes the plan under both shards' locks with the same exactness
-// invariants as coalescing — a moved session never strands a queued or
-// in-flight window, and predicted+shed still exactly partition
+// A session lives on the shard its id hashes to (FNV-1a) for its whole
+// life; nothing moves sessions between shards. What levels dispatch
+// load instead is work sharing, always on and not configurable: a
+// dispatcher whose own batch is small serves its ring neighbors'
+// queues in the same PredictBatch call, under the same exactness
+// invariants as a per-shard batch — per-session estimate order,
+// post-Deploy freshness, and predicted+shed exactly partitioning
 // accepted. ServeStats.ShardLoads exposes the per-shard snapshots and
-// ServeStats.Migrations counts moves; the autonomic SkewPolicy closes
-// the loop by proposing ActionRebalance when the observed skew
-// sustains past its trigger.
+// ServeStats.CoalescedBatches/CoalescedWindows count the merges.
 //
 // # Remote registry
 //

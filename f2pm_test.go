@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	f2pm "repro"
+	"repro/internal/autonomic"
 )
 
 // simulateHistory builds a small deterministic campaign through the
@@ -375,5 +377,128 @@ func waitAtLeast(t *testing.T, c *atomic.Int64, want int64) {
 			t.Fatalf("timed out: %d estimates, want ≥ %d", c.Load(), want)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// constModel is the cheapest possible deployment payload.
+type constModel struct{}
+
+func (constModel) Name() string                     { return "const" }
+func (constModel) Fit([][]float64, []float64) error { return nil }
+func (constModel) Predict([]float64) float64        { return 100 }
+
+// staleSource is a model source that always reports itself stale.
+type staleSource struct {
+	dep   *f2pm.Deployment
+	since time.Time
+}
+
+func (s staleSource) Deployment(context.Context) (*f2pm.Deployment, error) { return s.dep, nil }
+func (s staleSource) SourceStatus() f2pm.SourceStatus {
+	return f2pm.SourceStatus{Stale: true, StaleSince: s.since, LastError: "registry down"}
+}
+
+// signalRecorder is a policy that proposes nothing and keeps every
+// signal the supervisor hands it.
+type signalRecorder struct {
+	mu   sync.Mutex
+	sigs []f2pm.SupervisorSignal
+}
+
+func (*signalRecorder) Name() string { return "recorder" }
+func (r *signalRecorder) Evaluate(_ time.Time, sigs []f2pm.SupervisorSignal) []autonomic.Proposal {
+	r.mu.Lock()
+	r.sigs = append(r.sigs, sigs...)
+	r.mu.Unlock()
+	return nil
+}
+
+func (r *signalRecorder) find(kind f2pm.SupervisorSignalKind, ok func(f2pm.SupervisorSignal) bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.sigs {
+		if s.Kind == kind && ok(s) {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *signalRecorder) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.sigs)
+}
+
+// TestSuperviseService drives the daemon-shaped observer: a
+// manual-dispatch service with three queued windows and a stale model
+// source must show up on the supervisor's bus as queue-depth and
+// staleness signals, and the returned stop function must survive
+// concurrent double calls (run under -race).
+func TestSuperviseService(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dep := &f2pm.Deployment{Model: constModel{}, Name: "const", Aggregation: f2pm.AggregationConfig{WindowSec: 10}}
+	svc, err := f2pm.NewPredictionService(ctx,
+		f2pm.WithModelSource(staleSource{dep: dep, since: time.Now().Add(-time.Minute)}),
+		f2pm.WithManualDispatch(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ss, err := svc.StartSession("vm-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queued = 3
+	for w := 0; w <= queued; w++ {
+		if err := ss.Push(f2pm.Datapoint{Tgen: float64(w*10 + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rec := &signalRecorder{}
+	sup, err := f2pm.NewSupervisor(f2pm.SupervisorConfig{Policies: []f2pm.SupervisorPolicy{rec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := f2pm.SuperviseService(sup, svc, time.Millisecond, ctx.Done())
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		depth := rec.find(f2pm.SignalQueueDepth, func(s f2pm.SupervisorSignal) bool { return s.Value == queued })
+		stale := rec.find(f2pm.SignalStaleness, func(s f2pm.SupervisorSignal) bool {
+			return s.Value >= 60 && s.Detail == "registry down"
+		})
+		if depth && stale {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("signals never reached the supervisor: queue depth %v, staleness %v", depth, stale)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			stop()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	stop()
+
+	// The loop is gone: no further signal arrives.
+	time.Sleep(10 * time.Millisecond)
+	n := rec.count()
+	time.Sleep(10 * time.Millisecond)
+	if got := rec.count(); got != n {
+		t.Fatalf("observer still running after stop: %d signals grew to %d", n, got)
 	}
 }

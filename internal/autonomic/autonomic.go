@@ -47,11 +47,6 @@ const (
 	// SignalNewRuns counts newly completed (failed) runs available to
 	// the training pipeline since the previous observation.
 	SignalNewRuns SignalKind = "new_runs"
-	// SignalShardSkew carries the serving tier's placement imbalance:
-	// Value is the max/mean per-shard window rate over the observation
-	// interval (1 = perfectly balanced). Sustained skew drives the
-	// rebalance actuator, which migrates hot sessions onto cold shards.
-	SignalShardSkew SignalKind = "shard_skew"
 )
 
 // Signal is one observation: what was seen, when, and its magnitude.
@@ -138,11 +133,6 @@ const (
 	// ActionReshard swaps the serving load-shedding policy (queue-depth
 	// threshold and priority floor).
 	ActionReshard ActionKind = "reshard"
-	// ActionRebalance asks the serving tier's placement layer to plan
-	// and execute session migrations (serve.Service.Rebalance): hot
-	// sessions move to cold shards until the per-shard window rates sit
-	// back under the placer's skew watermark.
-	ActionRebalance ActionKind = "rebalance"
 )
 
 // Action is one typed, parameterized command.
@@ -174,12 +164,11 @@ func (a Action) String() string {
 // fatal — so a deployment can wire only the arms it wants automated.
 // Each func receives the proposing policy's reason for the audit trail.
 type Actuators struct {
-	Retrain   func(reason string) error
-	Slide     func(maxRuns int, reason string) error
-	Publish   func(reason string) error
-	Redeploy  func(reason string) error
-	Reshard   func(maxQueueDepth, minPriority int, reason string) error
-	Rebalance func(reason string) error
+	Retrain  func(reason string) error
+	Slide    func(maxRuns int, reason string) error
+	Publish  func(reason string) error
+	Redeploy func(reason string) error
+	Reshard  func(maxQueueDepth, minPriority int, reason string) error
 }
 
 // Outcome is what became of one proposal.

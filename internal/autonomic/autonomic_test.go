@@ -500,75 +500,3 @@ func TestPredictionErrorPolicyRetriesSuppressedRetrain(t *testing.T) {
 		t.Fatalf("retrains = %d, want 2 (suppressed proposal retried)", retrains)
 	}
 }
-
-// SkewPolicy: sustained shard-skew observations propose a rebalance,
-// a single bursty interval does not, and the counter re-arms after
-// each proposal so a skew the actuator failed to drain is proposed
-// again only after re-sustaining.
-func TestSkewPolicySustain(t *testing.T) {
-	p := &SkewPolicy{High: 1.5, Sustain: 2}
-	skew := func(v float64) []Signal { return []Signal{{Kind: SignalShardSkew, Value: v}} }
-
-	if props := p.Evaluate(at(0), skew(3)); props != nil {
-		t.Fatalf("fired after one observation, want sustain=2: %v", props)
-	}
-	props := p.Evaluate(at(1), skew(2.5))
-	if len(props) != 1 || props[0].Action.Kind != ActionRebalance {
-		t.Fatalf("sustained skew: got %v, want rebalance", props)
-	}
-	if !strings.Contains(props[0].Reason, "2.5") {
-		t.Fatalf("reason %q should carry the observed skew", props[0].Reason)
-	}
-	// Balanced interval resets the counter.
-	p.Evaluate(at(2), skew(3))
-	if props := p.Evaluate(at(3), skew(1.1)); props != nil {
-		t.Fatalf("balanced observation proposed %v", props)
-	}
-	if props := p.Evaluate(at(4), skew(3)); props != nil {
-		t.Fatalf("fired without re-sustaining: %v", props)
-	}
-	if props := p.Evaluate(at(5), skew(3)); len(props) != 1 {
-		t.Fatalf("did not re-fire after re-sustaining: %v", props)
-	}
-}
-
-// The rebalance arm executes through the supervisor like any other
-// parameterless actuator, with cooldown suppression and the
-// no-actuator fallback.
-func TestSupervisorRebalanceActuator(t *testing.T) {
-	rebalances := 0
-	s, err := New(Config{
-		Policies:        []Policy{alwaysPropose("skewish", ActionRebalance)},
-		DefaultCooldown: 30 * time.Second,
-		Actuators: Actuators{
-			Rebalance: func(reason string) error { rebalances++; return nil },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := s.Tick(at(0))
-	if len(ds) != 1 || ds[0].Outcome != OutcomeExecuted {
-		t.Fatalf("first tick decisions %v, want one executed rebalance", ds)
-	}
-	if ds = s.Tick(at(10)); len(ds) != 1 || ds[0].Outcome != OutcomeCooldown {
-		t.Fatalf("inside cooldown got %v, want suppressed", ds)
-	}
-	if ds = s.Tick(at(40)); len(ds) != 1 || ds[0].Outcome != OutcomeExecuted {
-		t.Fatalf("past cooldown got %v, want executed", ds)
-	}
-	if rebalances != 2 {
-		t.Fatalf("rebalances = %d, want 2", rebalances)
-	}
-	if s.Executed(ActionRebalance) != 2 {
-		t.Fatalf("Executed(rebalance) = %d, want 2", s.Executed(ActionRebalance))
-	}
-
-	bare, err := New(Config{Policies: []Policy{alwaysPropose("skewish", ActionRebalance)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds := bare.Tick(at(0)); len(ds) != 1 || ds[0].Outcome != OutcomeNoActuator {
-		t.Fatalf("unwired arm got %v, want no_actuator", ds)
-	}
-}

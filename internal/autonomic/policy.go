@@ -230,59 +230,6 @@ func (p *OverloadPolicy) Evaluate(now time.Time, sigs []Signal) []Proposal {
 	return out
 }
 
-// SkewPolicy is the placement policy family over the shard-imbalance
-// signal: per-shard window rates concentrating on a few shards (one
-// chatty client, an unlucky hash) waste the other dispatchers while
-// the hot shard's queue grows. When the observed max/mean rate sits at
-// or past High for Sustain consecutive observations, the policy
-// proposes a rebalance — the execute arm is serve.Service.Rebalance,
-// which plans migrations through the load-tracked placer and is itself
-// a no-op below the placer's own watermark, so the pair is naturally
-// hysteretic: the policy decides WHEN to look, the placer decides WHAT
-// (if anything) to move. The supervisor's per-action cooldown
-// rate-limits repeat proposals while a skew drains.
-type SkewPolicy struct {
-	// High is the max/mean shard window-rate watermark that fires
-	// (required; 1 = perfectly balanced, so useful values are > 1).
-	High float64
-	// Sustain is how many consecutive observations at or past High arm
-	// the proposal (default 3) — one bursty interval does not migrate
-	// sessions.
-	Sustain int
-
-	over int
-}
-
-// Name implements Policy.
-func (p *SkewPolicy) Name() string { return "skew" }
-
-// Evaluate implements Policy.
-func (p *SkewPolicy) Evaluate(now time.Time, sigs []Signal) []Proposal {
-	sustain := p.Sustain
-	if sustain <= 0 {
-		sustain = 3
-	}
-	var out []Proposal
-	for _, s := range sigs {
-		if s.Kind != SignalShardSkew {
-			continue
-		}
-		if p.High > 0 && s.Value >= p.High {
-			p.over++
-		} else {
-			p.over = 0
-		}
-		if p.over >= sustain {
-			p.over = 0
-			out = append(out, Proposal{
-				Action: Action{Kind: ActionRebalance},
-				Reason: fmt.Sprintf("shard skew %.3g >= %.3g sustained over %d observations", s.Value, p.High, sustain),
-			})
-		}
-	}
-	return out
-}
-
 // Observe implements OutcomeObserver: a reshard that did not execute
 // left the installed shed policy where it was, so the watermark state
 // flipped at proposal time is reverted — the condition is still being

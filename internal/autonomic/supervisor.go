@@ -220,8 +220,6 @@ func (s *Supervisor) decide(now time.Time, policy string, prop Proposal) Decisio
 		} else {
 			err = a.Reshard(prop.Action.MaxQueueDepth, prop.Action.MinPriority, prop.Reason)
 		}
-	case ActionRebalance:
-		err = run(a.Rebalance, prop.Reason, &d)
 	default:
 		d.Outcome = OutcomeFailed
 		d.Err = fmt.Sprintf("unknown action kind %q", kind)

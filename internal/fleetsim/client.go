@@ -24,11 +24,6 @@ type client struct {
 	leakRate   float64
 	burst      float64
 	burstUntil int
-	// rate is the template's virtual-time compression (Template.Rate,
-	// guarded to 1 for programmatically built scenarios that leave it
-	// zero): each runner tick advances this client's run by rate·tick
-	// seconds, scaling Tgen, the leak, and the window rate together.
-	rate float64
 
 	// Lifecycle. A client arrives at startTick; crashes and flaps make
 	// it dark until downTick (crashed restarts the app — Tgen resets —
@@ -177,10 +172,6 @@ func newFleet(sc *Scenario, rng *randx.Source) ([]*client, error) {
 				tmpl:  t,
 				rng:   rng.Fork(uint64(len(fleet)) + 1),
 				burst: 1,
-				rate:  t.Rate,
-			}
-			if c.rate <= 0 {
-				c.rate = 1
 			}
 			c.leakRate = t.LeakKBPerSec
 			if t.LeakJitter > 0 {

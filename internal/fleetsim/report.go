@@ -82,10 +82,10 @@ type Report struct {
 	MaxQueueDepth   int            `json:"max_queue_depth"`
 	Batches         int            `json:"batches"`
 	MaxBatchSize    int            `json:"max_batch_size"`
-	// CoalescedBatches counts prediction batches that merged stolen
-	// cross-shard windows (serve.CoalescePolicy), CoalescedWindows the
-	// stolen windows themselves — the light-load regime's signature is
-	// few, large, mostly-coalesced batches.
+	// CoalescedBatches counts prediction batches that merged a neighbor
+	// shard's windows (serve's work sharing), CoalescedWindows the
+	// neighbor windows themselves — the light-load regime's signature
+	// is few, large, mostly-coalesced batches.
 	CoalescedBatches uint64 `json:"coalesced_batches,omitempty"`
 	CoalescedWindows uint64 `json:"coalesced_windows,omitempty"`
 
@@ -112,14 +112,6 @@ type Report struct {
 	// and how many actions of each kind actually executed.
 	Decisions       int            `json:"decisions,omitempty"`
 	ActionsExecuted map[string]int `json:"actions_executed,omitempty"`
-
-	// Placement mode (ServeConfig.Placement): how many sessions the
-	// rebalance actuator migrated, and the max/mean per-shard window
-	// skew over the windows enqueued since the last executed rebalance
-	// (whole run when none executed; 0 when no window landed in the
-	// measured interval).
-	Migrations     uint64  `json:"migrations,omitempty"`
-	FinalShardSkew float64 `json:"final_shard_skew,omitempty"`
 
 	Sessions   []SessionReport `json:"sessions"`
 	Assertions []CheckResult   `json:"assertions"`
@@ -155,7 +147,6 @@ func (r *Report) Fingerprint() string {
 		r.LatencyP50Ticks, r.LatencyP90Ticks, r.LatencyP99Ticks, r.MaxLatencyTicks, r.Publishes, r.Decisions)
 	fmt.Fprintf(&b, "batches=%d maxbatch=%d coalesced=%d stolen=%d\n",
 		r.Batches, r.MaxBatchSize, r.CoalescedBatches, r.CoalescedWindows)
-	fmt.Fprintf(&b, "migrations=%d skew=%.6f\n", r.Migrations, r.FinalShardSkew)
 	return b.String()
 }
 
@@ -180,10 +171,6 @@ func (r *Report) WriteText(w io.Writer) {
 	if r.CoalescedBatches > 0 {
 		fmt.Fprintf(w, "  coalescing: %d merged batches, %d windows stolen cross-shard\n",
 			r.CoalescedBatches, r.CoalescedWindows)
-	}
-	if r.Migrations > 0 || r.FinalShardSkew > 0 {
-		fmt.Fprintf(w, "  placement: %d migrations, final shard skew %.3f\n",
-			r.Migrations, r.FinalShardSkew)
 	}
 	fmt.Fprintf(w, "  latency: mean %.2f ticks, p50 %d, p90 %d, p99 %d, max %d ticks\n",
 		r.MeanLatencyTicks, r.LatencyP50Ticks, r.LatencyP90Ticks, r.LatencyP99Ticks, r.MaxLatencyTicks)

@@ -72,16 +72,6 @@ type runner struct {
 	lastShedSeen uint64
 	lastRunsSeen int
 
-	// Placement (Serve.Placement mode): prevShardWindows holds the
-	// per-shard cumulative window counts at the previous supervisor
-	// observation (the skew signal is computed over the deltas), and
-	// skewBase the counts at the last executed rebalance — the
-	// max_shard_skew check measures balance over the windows enqueued
-	// AFTER the migrations, not the skewed history before them.
-	prevShardWindows []uint64
-	skewBase         []uint64
-	rebalances       int
-
 	// Counters.
 	crashes       int
 	flaps         int
@@ -253,19 +243,6 @@ func (r *runner) startService(dep *serve.Deployment) error {
 			}),
 		)
 	}
-	if cc := sc.Serve.Coalesce; cc != nil {
-		opts = append(opts, serve.WithCoalescePolicy(serve.CoalescePolicy{
-			MinBatch: cc.MinBatch,
-			MaxBatch: cc.MaxBatch,
-		}))
-	}
-	if pc := sc.Serve.Placement; pc != nil && pc.Policy == "load" {
-		opts = append(opts, serve.WithPlacement(serve.NewLoadPlacer(serve.LoadPlacerConfig{
-			SkewWatermark: pc.SkewWatermark,
-			MaxMoves:      pc.MaxMoves,
-			MinWindows:    pc.MinWindows,
-		})))
-	}
 	if sc.Serve.AlertThreshold > 0 {
 		opts = append(opts, serve.WithAlertFunc(sc.Serve.AlertThreshold, func(serve.Alert) {}))
 	}
@@ -364,21 +341,14 @@ func (r *runner) startSupervisor() error {
 			RelaxFloor: sp.RelaxFloor,
 		})
 	}
-	if sp.SkewTrigger > 0 {
-		pols = append(pols, &autonomic.SkewPolicy{
-			High:    sp.SkewTrigger,
-			Sustain: sp.SkewSustain,
-		})
-	}
 	sup, err := autonomic.New(autonomic.Config{
 		Policies: pols,
 		Actuators: autonomic.Actuators{
-			Retrain:   r.actRetrain,
-			Slide:     r.actSlide,
-			Publish:   r.actPublish,
-			Redeploy:  r.actRedeploy,
-			Reshard:   r.actReshard,
-			Rebalance: r.actRebalance,
+			Retrain:  r.actRetrain,
+			Slide:    r.actSlide,
+			Publish:  r.actPublish,
+			Redeploy: r.actRedeploy,
+			Reshard:  r.actReshard,
 		},
 		DefaultCooldown: sp.Cooldown,
 		RedeployAfter:   sp.RedeployAfter,
@@ -418,45 +388,7 @@ func (r *runner) superTick() {
 		r.sup.Signal(autonomic.Signal{Kind: autonomic.SignalNewRuns, At: r.now, Value: float64(r.completedRuns - r.lastRunsSeen)})
 		r.lastRunsSeen = r.completedRuns
 	}
-	if skew, ok := r.shardSkew(st.ShardLoads, r.prevShardWindows); ok {
-		r.sup.Signal(autonomic.Signal{Kind: autonomic.SignalShardSkew, At: r.now, Value: skew})
-	}
-	r.prevShardWindows = shardWindows(st.ShardLoads)
 	r.sup.Tick(r.now)
-}
-
-// shardWindows extracts the cumulative per-shard window counters.
-func shardWindows(loads []serve.ShardLoad) []uint64 {
-	out := make([]uint64, len(loads))
-	for i, ld := range loads {
-		out[i] = ld.Windows
-	}
-	return out
-}
-
-// shardSkew computes max/mean over the per-shard windows enqueued
-// since the base snapshot (nil = since boot). ok is false when fewer
-// than two shards exist or no window landed in the interval — there is
-// no imbalance to speak of.
-func (r *runner) shardSkew(loads []serve.ShardLoad, base []uint64) (float64, bool) {
-	if len(loads) < 2 {
-		return 0, false
-	}
-	var total, max float64
-	for i, ld := range loads {
-		d := float64(ld.Windows)
-		if i < len(base) {
-			d -= float64(base[i])
-		}
-		total += d
-		if d > max {
-			max = d
-		}
-	}
-	if total <= 0 {
-		return 0, false
-	}
-	return max / (total / float64(len(loads))), true
 }
 
 // actRetrain is the supervisor's Retrain arm: one incremental
@@ -543,20 +475,6 @@ func (r *runner) actRedeploy(reason string) error {
 	}
 	r.deploys++
 	r.logf("redeploy", "supervisor deployed %q locally as v%d (registry stale)", dep.Name, ver)
-	return nil
-}
-
-// actRebalance is the supervisor's Rebalance arm: the service plans
-// migrations through its placer and moves hot sessions onto cold
-// shards under the coalescing exactness invariants. The skew baseline
-// snapshots here so the max_shard_skew check measures the balance of
-// the windows enqueued after the move, not the skewed history that
-// triggered it.
-func (r *runner) actRebalance(reason string) error {
-	moved := r.svc.Rebalance()
-	r.rebalances++
-	r.skewBase = shardWindows(r.svc.Stats().ShardLoads)
-	r.logf("rebalance", "supervisor rebalance %d migrated %d sessions", r.rebalances, moved)
 	return nil
 }
 
@@ -658,7 +576,7 @@ func (r *runner) stepClients(t int) {
 			c.burst = 1
 			c.burstUntil = 0
 		}
-		d, failed := c.step(t, r.tickSec*c.rate)
+		d, failed := c.step(t, r.tickSec)
 		if c.flapped {
 			continue // connection down: the sample is lost, no fail handling
 		}
@@ -997,20 +915,6 @@ func (r *runner) evalCheck(c Check, at string) CheckResult {
 			break
 		}
 		ge(float64(r.sup.Executed(autonomic.ActionSlide)), bound(1), "slide actions")
-	case "min_migrations":
-		ge(float64(stats.Migrations), bound(1), "placement migrations")
-	case "max_shard_skew":
-		skew, ok := r.shardSkew(stats.ShardLoads, r.skewBase)
-		if !ok {
-			res.Passed = true
-			res.Detail = "no windows in the measured interval"
-			break
-		}
-		what := "shard window skew since boot"
-		if r.skewBase != nil {
-			what = "shard window skew since last rebalance"
-		}
-		le(skew, bound(1), what)
 	case "no_errors":
 		res.Passed = len(r.errs) == 0
 		if res.Passed {
@@ -1093,18 +997,13 @@ func (r *runner) report(stats serve.Stats, ticks int) *Report {
 
 		Publishes:    r.publishes,
 		FinallyStale: r.regStale,
-
-		Migrations: stats.Migrations,
-	}
-	if skew, ok := r.shardSkew(stats.ShardLoads, r.skewBase); ok {
-		rep.FinalShardSkew = skew
 	}
 	if r.sup != nil {
 		rep.Decisions = r.sup.Decisions()
 		rep.ActionsExecuted = map[string]int{}
 		for _, k := range []autonomic.ActionKind{
 			autonomic.ActionRetrain, autonomic.ActionSlide, autonomic.ActionPublish,
-			autonomic.ActionRedeploy, autonomic.ActionReshard, autonomic.ActionRebalance,
+			autonomic.ActionRedeploy, autonomic.ActionReshard,
 		} {
 			if n := r.sup.Executed(k); n > 0 {
 				rep.ActionsExecuted[string(k)] = n

@@ -270,50 +270,3 @@ func TestRegistryOutageScenarioDeterministicReplay(t *testing.T) {
 			total, rep1.Predictions)
 	}
 }
-
-// TestHotShardScenarioDeterministicReplay is the committed placement
-// coverage: one rate-10 client concentrates window load on its shard,
-// the supervisor's skew policy fires the rebalance actuator, the
-// load-tracked placer migrates sessions off the hot shard, and the run
-// replays byte-identically with exact window accounting across every
-// migration.
-func TestHotShardScenarioDeterministicReplay(t *testing.T) {
-	sc := loadScenario(t, "../../examples/fleetsim/scenarios/hot-shard.yaml")
-	rep1, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep1.Passed {
-		rep1.WriteText(os.Stderr)
-		t.Fatal("hot-shard scenario failed")
-	}
-	if rep1.Fingerprint() != rep2.Fingerprint() {
-		t.Fatal("replay diverged: two runs of the same scenario+seed produced different event logs")
-	}
-	if rep1.Migrations < 2 {
-		t.Fatalf("%d migrations, the autonomic loop should have moved sessions at least twice", rep1.Migrations)
-	}
-	if rep1.ActionsExecuted["rebalance"] < 1 {
-		t.Fatalf("no rebalance action executed: %v", rep1.ActionsExecuted)
-	}
-	if rep1.FinalShardSkew <= 0 || rep1.FinalShardSkew > 1.4 {
-		t.Fatalf("final shard skew %.3f, want in (0, 1.4] after rebalancing", rep1.FinalShardSkew)
-	}
-	if rep1.LostWindows != 0 {
-		t.Fatalf("%d windows lost across migrations", rep1.LostWindows)
-	}
-	sawRebalance := false
-	for _, e := range rep1.Log {
-		if e.Kind == "rebalance" {
-			sawRebalance = true
-			break
-		}
-	}
-	if !sawRebalance {
-		t.Fatal("event log has no rebalance entries")
-	}
-}

@@ -54,15 +54,6 @@ type ServeConfig struct {
 	SweepEvery int
 	// Shed enables priority load shedding.
 	Shed *ShedConfig
-	// Coalesce enables adaptive cross-shard batch coalescing
-	// (serve.CoalescePolicy): light per-shard load merges into fewer,
-	// larger prediction batches.
-	Coalesce *CoalesceConfig
-	// Placement selects the session placer. Absent (or policy "hash")
-	// keeps the default FNV hash routing; policy "load" installs the
-	// load-tracked placer, whose Rebalance migrates hot sessions onto
-	// cold shards — the execute arm of the supervisor's skew policy.
-	Placement *PlacementConfig
 	// AlertThreshold raises alerts when predicted RTTF crosses below
 	// this many seconds (0 = no alerting).
 	AlertThreshold float64
@@ -79,24 +70,6 @@ type ServeConfig struct {
 type ShedConfig struct {
 	MaxQueueDepth int
 	MinPriority   int
-}
-
-// CoalesceConfig mirrors serve.CoalescePolicy.
-type CoalesceConfig struct {
-	MinBatch int
-	MaxBatch int
-}
-
-// PlacementConfig mirrors the serve placement layer: policy "hash"
-// (the default FNV routing) or "load" (serve.LoadPlacer).
-type PlacementConfig struct {
-	Policy string
-	// SkewWatermark/MaxMoves/MinWindows shape the load placer's
-	// rebalance plans (serve.LoadPlacerConfig; zero keeps the serve
-	// defaults).
-	SkewWatermark float64
-	MaxMoves      int
-	MinWindows    uint64
 }
 
 // RegistryConfig shapes the simulated remote registry path.
@@ -160,16 +133,6 @@ type SupervisorConfig struct {
 	TightFloor      int
 	RelaxDepth      int
 	RelaxFloor      int
-
-	// SkewTrigger enables the shard-skew policy (0 = disabled): when
-	// the observed max/mean per-shard window rate sits at or past it
-	// for SkewSustain consecutive supervisor observations, the
-	// supervisor fires the rebalance actuator (serve.Service.Rebalance)
-	// and hot sessions migrate onto cold shards. Needs a serve.placement
-	// block with policy "load".
-	SkewTrigger float64
-	// SkewSustain is the consecutive-observation floor (default 3).
-	SkewSustain int
 
 	// PublishAfter makes retrain-proposing policies also propose a
 	// publish (registry mode) so the fleet converges, not just this
@@ -252,13 +215,6 @@ type Template struct {
 	// RestartDelay is the virtual downtime between a failure and the
 	// next run (default one tick).
 	RestartDelay time.Duration
-	// Rate compresses this template's virtual time (default 1): each
-	// runner tick advances the client's run by Rate·tick seconds, so
-	// Tgen, the leak, and the failure condition all move Rate× faster —
-	// and the client completes aggregation windows (and thus produces
-	// serving load) at Rate× the window rate of a rate-1 client. The
-	// lever hot-shard scenarios use to concentrate load.
-	Rate float64
 }
 
 // ScenarioEvent is one timed entry in the script: a chaos action or an
@@ -310,19 +266,13 @@ type ScenarioEvent struct {
 //	min_publishes: N        retrains published to the registry ≥ N
 //	max_p99_latency: N      p99 queue latency ≤ N ticks
 //	min_coalesced: N        coalesced (merged cross-shard) prediction
-//	                        batches ≥ N — proves stealing happened
+//	                        batches ≥ N — proves work sharing happened
 //	max_batches: N          total prediction batches dispatched ≤ N —
 //	                        proves light load merged into few batches
 //	min_decisions: N        supervisor decisions logged ≥ N (supervisor
 //	                        mode only)
 //	min_reshards: N         supervisor reshard actions executed ≥ N
 //	min_slides: N           supervisor slide actions executed ≥ N
-//	min_migrations: N       placement migrations executed ≥ N — proves
-//	                        the rebalance actuator actually moved
-//	                        sessions
-//	max_shard_skew: X       max/mean per-shard window rate since the
-//	                        last executed rebalance (whole run if none)
-//	                        ≤ X — proves migration restored balance
 //	no_errors               the run recorded no internal errors (every
 //	                        push, deploy, and poll succeeded — e.g. no
 //	                        ErrNoModel anywhere)
@@ -344,7 +294,7 @@ var (
 		"registry_stale", "registry_fresh", "min_publishes", "max_p99_latency",
 		"min_coalesced", "max_batches",
 		"min_decisions", "min_reshards", "min_slides",
-		"min_migrations", "max_shard_skew", "no_errors",
+		"no_errors",
 	}
 	knownModels = []string{"linear", "m5p", "reptree", "svm", "svm2"}
 )
@@ -539,7 +489,7 @@ func (d *decoder) scenario(m map[string]any) *Scenario {
 
 func (d *decoder) serve(m map[string]any) ServeConfig {
 	d.known(m, "serve", "shards", "window_sec", "include_slopes", "include_intergen",
-		"flush_every", "session_ttl", "sweep_every", "shed", "coalesce", "placement",
+		"flush_every", "session_ttl", "sweep_every", "shed",
 		"alert_threshold", "registry")
 	cfg := ServeConfig{
 		Shards:          d.integer(m, "serve", "shards", 2),
@@ -556,22 +506,6 @@ func (d *decoder) serve(m map[string]any) ServeConfig {
 		cfg.Shed = &ShedConfig{
 			MaxQueueDepth: d.integer(sm, "serve.shed", "max_queue_depth", 64),
 			MinPriority:   d.integer(sm, "serve.shed", "min_priority", 0),
-		}
-	}
-	if cm, ok := d.child(m, "coalesce"); ok {
-		d.known(cm, "serve.coalesce", "min_batch", "max_batch")
-		cfg.Coalesce = &CoalesceConfig{
-			MinBatch: d.integer(cm, "serve.coalesce", "min_batch", 16),
-			MaxBatch: d.integer(cm, "serve.coalesce", "max_batch", 0),
-		}
-	}
-	if pm, ok := d.child(m, "placement"); ok {
-		d.known(pm, "serve.placement", "policy", "skew_watermark", "max_moves", "min_windows")
-		cfg.Placement = &PlacementConfig{
-			Policy:        d.str(pm, "serve.placement", "policy", "hash"),
-			SkewWatermark: d.f64(pm, "serve.placement", "skew_watermark", 0),
-			MaxMoves:      d.integer(pm, "serve.placement", "max_moves", 0),
-			MinWindows:    uint64(d.integer(pm, "serve.placement", "min_windows", 0)),
 		}
 	}
 	if rm, ok := d.child(m, "registry"); ok {
@@ -592,7 +526,6 @@ func (d *decoder) supervisor(m map[string]any) *SupervisorConfig {
 		"drift_threshold", "slide_to",
 		"overload_high", "overload_low", "overload_rise", "overload_sustain",
 		"tight_depth", "tight_floor", "relax_depth", "relax_floor",
-		"skew_trigger", "skew_sustain",
 		"publish_after")
 	return &SupervisorConfig{
 		TickEvery:       d.integer(m, "supervisor", "tick_every", 5),
@@ -611,8 +544,6 @@ func (d *decoder) supervisor(m map[string]any) *SupervisorConfig {
 		TightFloor:      d.integer(m, "supervisor", "tight_floor", 0),
 		RelaxDepth:      d.integer(m, "supervisor", "relax_depth", 0),
 		RelaxFloor:      d.integer(m, "supervisor", "relax_floor", 0),
-		SkewTrigger:     d.f64(m, "supervisor", "skew_trigger", 0),
-		SkewSustain:     d.integer(m, "supervisor", "skew_sustain", 3),
 		PublishAfter:    d.boolean(m, "supervisor", "publish_after", false),
 	}
 }
@@ -688,7 +619,7 @@ func (d *decoder) fleet(m map[string]any) FleetConfig {
 		}
 		path := fmt.Sprintf("fleet.templates[%d]", i)
 		d.known(tm, path, "name", "weight", "priority", "mem_total_kb", "swap_total_kb",
-			"leak_kb_per_sec", "leak_jitter", "noise_frac", "fail_frac", "restart_delay", "rate")
+			"leak_kb_per_sec", "leak_jitter", "noise_frac", "fail_frac", "restart_delay")
 		cfg.Templates = append(cfg.Templates, Template{
 			Name:         d.str(tm, path, "name", fmt.Sprintf("template-%d", i)),
 			Weight:       d.f64(tm, path, "weight", 1),
@@ -700,7 +631,6 @@ func (d *decoder) fleet(m map[string]any) FleetConfig {
 			NoiseFrac:    d.f64(tm, path, "noise_frac", 0.05),
 			FailFrac:     d.f64(tm, path, "fail_frac", 0.02),
 			RestartDelay: d.dur(tm, path, "restart_delay", 0),
-			Rate:         d.f64(tm, path, "rate", 1),
 		})
 	}
 	return cfg
@@ -827,9 +757,6 @@ func (d *decoder) validate(sc *Scenario) {
 		if t.FailFrac <= 0 || t.FailFrac >= 1 {
 			d.errf("fleet.templates[%d] (%s): fail_frac must be in (0,1)", i, t.Name)
 		}
-		if t.Rate <= 0 {
-			d.errf("fleet.templates[%d] (%s): rate must be positive", i, t.Name)
-		}
 	}
 	if len(sc.Fleet.Templates) > 0 && weight <= 0 {
 		d.errf("fleet.templates: total weight must be positive")
@@ -847,25 +774,6 @@ func (d *decoder) validate(sc *Scenario) {
 		}
 		if !found {
 			d.errf("train.template %q names no fleet template", tn)
-		}
-	}
-	if cc := sc.Serve.Coalesce; cc != nil {
-		if cc.MinBatch < 1 {
-			d.errf("serve.coalesce.min_batch must be at least 1")
-		}
-		if cc.MaxBatch < 0 || (cc.MaxBatch > 0 && cc.MaxBatch < cc.MinBatch) {
-			d.errf("serve.coalesce.max_batch must be 0 (uncapped) or >= min_batch")
-		}
-	}
-	if pc := sc.Serve.Placement; pc != nil {
-		if pc.Policy != "hash" && pc.Policy != "load" {
-			d.errf("serve.placement.policy must be \"hash\" or \"load\", got %q", pc.Policy)
-		}
-		if pc.SkewWatermark != 0 && pc.SkewWatermark <= 1 {
-			d.errf("serve.placement.skew_watermark must be > 1 (1 = perfectly balanced)")
-		}
-		if pc.MaxMoves < 0 {
-			d.errf("serve.placement.max_moves must be non-negative")
 		}
 	}
 	if rc := sc.Serve.Registry; rc != nil {
@@ -886,8 +794,8 @@ func (d *decoder) validate(sc *Scenario) {
 		if sp.Cooldown < 0 || sp.RedeployAfter < 0 {
 			d.errf("supervisor: cooldown and redeploy_after must be non-negative")
 		}
-		if sp.ErrorTrigger <= 0 && sp.DriftThreshold <= 0 && sp.OverloadHigh <= 0 && sp.SkewTrigger <= 0 {
-			d.errf("supervisor: at least one policy must be enabled (error_trigger, drift_threshold, overload_high, or skew_trigger)")
+		if sp.ErrorTrigger <= 0 && sp.DriftThreshold <= 0 && sp.OverloadHigh <= 0 {
+			d.errf("supervisor: at least one policy must be enabled (error_trigger, drift_threshold, or overload_high)")
 		}
 		if sp.OverloadHigh > 0 {
 			if sc.Serve.Shed == nil {
@@ -895,14 +803,6 @@ func (d *decoder) validate(sc *Scenario) {
 			}
 			if sp.TightDepth < 1 {
 				d.errf("supervisor.tight_depth must be at least 1 when overload_high is set")
-			}
-		}
-		if sp.SkewTrigger > 0 {
-			if sp.SkewTrigger <= 1 {
-				d.errf("supervisor.skew_trigger must be > 1 (1 = perfectly balanced)")
-			}
-			if sc.Serve.Placement == nil || sc.Serve.Placement.Policy != "load" {
-				d.errf("supervisor: the skew policy needs serve.placement with policy \"load\" — the hash placer never migrates")
 			}
 		}
 		if sp.SlideTo < 0 {

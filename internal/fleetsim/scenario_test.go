@@ -102,6 +102,43 @@ func TestParseScenarioErrors(t *testing.T) {
 			minimalScenario + "train:\n  template: nosuch\n",
 			`"nosuch" names no fleet template`,
 		},
+		// Keys and checks that configured the deleted dispatch knobs and
+		// placement layer are rejected loudly, not ignored.
+		{
+			"serve.coalesce removed",
+			minimalScenario + "serve:\n  coalesce:\n    min_batch: 16\n",
+			`unknown key "coalesce"`,
+		},
+		{
+			"serve.placement removed",
+			minimalScenario + "serve:\n  placement:\n    policy: load\n",
+			`unknown key "placement"`,
+		},
+		{
+			"supervisor.skew_trigger removed",
+			minimalScenario + "supervisor:\n  error_trigger: 0.5\n  skew_trigger: 1.5\n",
+			`unknown key "skew_trigger"`,
+		},
+		{
+			"supervisor.skew_sustain removed",
+			minimalScenario + "supervisor:\n  error_trigger: 0.5\n  skew_sustain: 2\n",
+			`unknown key "skew_sustain"`,
+		},
+		{
+			"min_migrations removed",
+			minimalScenario + "assertions:\n  - min_migrations: 2\n",
+			`unknown check "min_migrations"`,
+		},
+		{
+			"max_shard_skew removed",
+			minimalScenario + "assertions:\n  - max_shard_skew: 1.4\n",
+			`unknown check "max_shard_skew"`,
+		},
+		{
+			"template rate removed",
+			"duration: 10s\nfleet:\n  count: 1\n  templates:\n    - leak_kb_per_sec: 100\n      rate: 10\n",
+			`unknown key "rate"`,
+		},
 		{
 			"bad duration string",
 			"duration: soon\nfleet:\n  count: 1\n  templates:\n    - leak_kb_per_sec: 100\n",

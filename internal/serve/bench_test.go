@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"repro/internal/testutil"
 )
 
 // BenchmarkShardedDispatch measures sustained window throughput of the
@@ -106,103 +104,19 @@ func btoi(v bool) int {
 	return 0
 }
 
-// BenchmarkCoalescedDispatch measures the light-load regime the
-// coalescer targets: 64 sessions spread over 8 shards each complete
-// one window, then one Flush drains the fleet. With coalescing off
-// that is 8 tiny per-shard batches per op; with MinBatch=64 the first
-// non-empty shard steals the rest and predicts one merged batch — the
-// committed BENCH reports track the per-window cost of the two
-// regimes.
+// BenchmarkCoalescedDispatch measures the light-load regime work
+// sharing targets, for local use (no CI gate reads it): 64 sessions
+// spread over 8 shards each complete one window, then one Flush drains
+// the fleet in a few merged batches instead of 8 tiny per-shard ones.
 func BenchmarkCoalescedDispatch(b *testing.B) {
-	b.Run("coalesce=off", func(b *testing.B) { benchCoalesce(b) })
-	b.Run("coalesce=on", func(b *testing.B) {
-		benchCoalesce(b, WithCoalescePolicy(CoalescePolicy{MinBatch: 64}))
-	})
-}
-
-// BenchmarkSkewedDispatch measures the regime the placement layer
-// targets: 256 sessions all FNV-hashed onto shard 0 of 8, so the hash
-// placer funnels the whole fleet through one queue and one dispatcher
-// while seven shards idle. The placer=load sub-benchmark routes the
-// same ids through a load-tracked placer and calls Rebalance every 16
-// ops; after the first rebalance the sessions are spread across the
-// cold shards and each Flush drains 8 small queues instead of one deep
-// one. placer=hash calls Rebalance on the same cadence (a planning
-// no-op for the stateless placer) so the two sub-benchmarks pay
-// symmetric actuation overhead and the delta isolates routing — the
-// committed BENCH reports track hash-vs-load per-window cost under
-// skew.
-func BenchmarkSkewedDispatch(b *testing.B) {
-	b.Run("placer=hash", func(b *testing.B) { benchSkewed(b) })
-	b.Run("placer=load", func(b *testing.B) {
-		benchSkewed(b, WithPlacement(NewLoadPlacer(LoadPlacerConfig{SkewWatermark: 1.2, MaxMoves: 64})))
-	})
-}
-
-func benchSkewed(b *testing.B, extra ...Option) {
-	const (
-		sessions      = 256
-		shards        = 8
-		rebalanceEach = 16
-	)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts := append([]Option{
-		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
-		WithShards(shards),
-		WithManualDispatch(),
-	}, extra...)
-	svc, err := New(ctx, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-
-	hash := HashPlacer{}
-	ids := testutil.IDsOnShard(hash.Place, shards, 0, sessions)
-	ss := make([]*Session, sessions)
-	next := make([]float64, sessions)
-	for i := range ss {
-		if ss[i], err = svc.StartSession(ids[i]); err != nil {
-			b.Fatal(err)
-		}
-		if err := ss[i].Push(dp(1, float64(i%97))); err != nil {
-			b.Fatal(err)
-		}
-		next[i] = 11
-	}
-	svc.Flush()
-	base := svc.Stats().Predictions
-
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		for i := range ss {
-			if err := ss[i].Push(dp(next[i], 1)); err != nil {
-				b.Fatal(err)
-			}
-			next[i] += 10
-		}
-		svc.Flush()
-		if n%rebalanceEach == rebalanceEach-1 {
-			svc.Rebalance()
-		}
-	}
-	b.StopTimer()
-	if got, want := svc.Stats().Predictions, base+uint64(b.N*sessions); got != want {
-		b.Fatalf("%d predictions, want %d", got, want)
-	}
-}
-
-func benchCoalesce(b *testing.B, extra ...Option) {
 	const sessions = 64
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := append([]Option{
+	svc, err := New(ctx,
 		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
 		WithShards(8),
 		WithManualDispatch(),
-	}, extra...)
-	svc, err := New(ctx, opts...)
+	)
 	if err != nil {
 		b.Fatal(err)
 	}

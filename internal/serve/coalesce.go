@@ -1,40 +1,40 @@
 package serve
 
-// This file is PR 9's adaptive cross-shard batch coalescing: the
-// stealing side of dispatchOnce, split out so the dispatch loop reads
-// as the common path and the thief protocol stays in one place. See
-// CoalescePolicy (options.go) for the configuration contract.
+// This file is the one way the serving tier levels load besides id
+// hashing and shedding: work sharing. A dispatcher that is awake with
+// a small batch serves its neighbors' queues in the same PredictBatch
+// call instead of leaving them to wait for their own wake-up (see
+// docs/performance.md, "Load levelling", for the measurement that kept
+// this and deleted the alternatives).
 
-// steal extends a below-MinBatch take with the pending queues of sh's
-// ring neighbors (own+1, own+2, …), returning the extended segment
-// list and the new total. Each steal try-locks the victim's
-// dispatchMu — the caller MUST hold the thief's own dispatchMu and
-// MUST keep every victim's dispatchMu (via unlockVictims) until the
-// merged batch is delivered: a busy victim is simply skipped (the
-// thief never blocks behind a slow neighbor), and a robbed victim
-// cannot start a competing batch over the same sessions, so
-// per-session estimate order is preserved. The only blocking
-// dispatchMu acquisitions anywhere are a dispatcher taking its own
-// and a migration taking the source's (neither holds another
-// dispatchMu while blocking), so the try-locks cannot deadlock. Under
-// WithManualDispatch the whole dance runs on the single flushing
+// coalesceMin is the batch size below which a dispatcher's own take is
+// extended with its ring neighbors' queues. 16 is the measured value:
+// per-row predict cost is flat from there on, so a larger merge buys
+// nothing and only holds the victims' dispatch mutexes longer.
+const coalesceMin = 16
+
+// steal extends a below-coalesceMin take with the pending queues of
+// sh's ring neighbors (own+1, own+2, …), returning the extended
+// segment list and the new total; a victim's queue is always taken
+// whole. Each steal try-locks the victim's dispatchMu — the caller
+// MUST hold the thief's own dispatchMu and MUST keep every victim's
+// dispatchMu (via unlockVictims) until the merged batch is delivered:
+// a busy victim is simply skipped (the thief never blocks behind a
+// slow neighbor), and a robbed victim cannot start a competing batch
+// over the same sessions, so per-session estimate order is preserved.
+// The whole locking protocol is one rule: a dispatcher blocks only on
+// its own dispatchMu and try-locks others', so it cannot deadlock.
+// Under WithManualDispatch the dance runs on the single flushing
 // goroutine in ring order — deterministic, so fleetsim replays it
 // byte-identically.
-func (s *Service) steal(sh *shard, segs []segment, total int, pol CoalescePolicy) ([]segment, int) {
+func (s *Service) steal(sh *shard, segs []segment, total int) ([]segment, int) {
 	own := total
-	for off := 1; off < len(s.shards) && total < pol.MinBatch; off++ {
-		if pol.MaxBatch > 0 && total >= pol.MaxBatch {
-			break
-		}
+	for off := 1; off < len(s.shards) && total < coalesceMin; off++ {
 		v := s.shards[(sh.idx+off)%len(s.shards)]
 		if !v.dispatchMu.TryLock() {
 			continue
 		}
-		limit := 0
-		if pol.MaxBatch > 0 {
-			limit = pol.MaxBatch - total
-		}
-		rows := s.take(v, limit)
+		rows := s.take(v)
 		if len(rows) == 0 {
 			v.dispatchMu.Unlock()
 			continue

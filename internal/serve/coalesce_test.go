@@ -13,13 +13,11 @@ import (
 	"repro/internal/testutil"
 )
 
-// idsOnShard returns n distinct session ids that the service's placer
-// routes onto shard idx — the deterministic way to stage a chosen
-// per-shard load. The generation lives in testutil and works through
-// the Placer interface, so shard_test.go's balance check and other
-// packages share one implementation.
+// idsOnShard returns n distinct session ids that the service routes
+// onto shard idx — the deterministic way to stage a chosen per-shard
+// load.
 func idsOnShard(svc *Service, idx, n int) []string {
-	return testutil.IDsOnShard(svc.placer.Place, len(svc.shards), idx, n)
+	return testutil.IDsOnShard(HashPlacer{}.Place, len(svc.shards), idx, n)
 }
 
 // batchLog records the batchFailpoint call sequence: which shard
@@ -42,21 +40,20 @@ func (l *batchLog) snapshot() [][2]int {
 }
 
 // TestCoalesceLightLoadMerges pins the light-load regime: with a few
-// windows scattered across many shards and a MinBatch above the fleet
-// total, one Flush produces exactly ONE PredictBatch call holding
+// windows scattered across many shards and the fleet total below
+// coalesceMin, one Flush produces exactly ONE PredictBatch call holding
 // every window — the first non-empty shard steals all its neighbors'
 // queues — and the coalesce counters account for the stolen windows
 // exactly.
 func TestCoalesceLightLoadMerges(t *testing.T) {
 	const shards = 8
-	const sessions = 24
+	const sessions = coalesceMin - 4
 	log := &batchLog{}
 	var delivered atomic.Uint64
 	svc, err := New(context.Background(),
 		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
 		WithShards(shards),
 		WithManualDispatch(),
-		WithCoalescePolicy(CoalescePolicy{MinBatch: 64}),
 		WithBatchFailpoint(log.hook),
 		WithEstimateFunc(func(Estimate) { delivered.Add(1) }),
 	)
@@ -119,18 +116,17 @@ func TestCoalesceLightLoadMerges(t *testing.T) {
 }
 
 // TestCoalesceHeavyLoadNoSteal pins the self-disabling side: when
-// every shard's own queue already reaches MinBatch, no stealing
+// every shard's own queue already reaches coalesceMin, no stealing
 // happens — each shard dispatches its own windows in its own batch and
 // the coalesce counters stay at zero.
 func TestCoalesceHeavyLoadNoSteal(t *testing.T) {
 	const shards = 4
-	const minBatch = 3
+	const minBatch = coalesceMin
 	log := &batchLog{}
 	svc, err := New(context.Background(),
 		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
 		WithShards(shards),
 		WithManualDispatch(),
-		WithCoalescePolicy(CoalescePolicy{MinBatch: minBatch}),
 		WithBatchFailpoint(log.hook),
 	)
 	if err != nil {
@@ -138,7 +134,7 @@ func TestCoalesceHeavyLoadNoSteal(t *testing.T) {
 	}
 	defer svc.Close()
 
-	// Exactly MinBatch windows on every shard.
+	// Exactly coalesceMin windows on every shard.
 	for idx := 0; idx < shards; idx++ {
 		for _, id := range idsOnShard(svc, idx, minBatch) {
 			ss, err := svc.StartSession(id)
@@ -171,79 +167,6 @@ func TestCoalesceHeavyLoadNoSteal(t *testing.T) {
 	}
 }
 
-// TestCoalesceMaxBatchSplit pins the cap semantics: a steal stops at
-// MaxBatch, taking only the oldest prefix of the victim's queue; the
-// remainder stays queued in order and is dispatched by the victim
-// itself, so per-session estimate order survives the split.
-func TestCoalesceMaxBatchSplit(t *testing.T) {
-	const shards = 2
-	log := &batchLog{}
-	var mu sync.Mutex
-	order := map[string][]float64{}
-	svc, err := New(context.Background(),
-		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
-		WithShards(shards),
-		WithManualDispatch(),
-		WithCoalescePolicy(CoalescePolicy{MinBatch: 4, MaxBatch: 4}),
-		WithBatchFailpoint(log.hook),
-		WithEstimateFunc(func(e Estimate) {
-			mu.Lock()
-			order[e.SessionID] = append(order[e.SessionID], e.Tgen)
-			mu.Unlock()
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	// Shard 0 holds one window; shard 1 holds five (one session with
-	// five consecutive windows, so the split must preserve its order).
-	owner := idsOnShard(svc, 0, 1)[0]
-	ss0, err := svc.StartSession(owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss0.Push(dp(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss0.Push(dp(11, 1)); err != nil {
-		t.Fatal(err)
-	}
-	victim := idsOnShard(svc, 1, 1)[0]
-	ss1, err := svc.StartSession(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w <= 5; w++ {
-		if err := ss1.Push(dp(float64(w*10+1), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	svc.Flush()
-
-	want := [][2]int{{0, 4}, {1, 2}}
-	if calls := log.snapshot(); !reflect.DeepEqual(calls, want) {
-		t.Fatalf("batch sequence %v, want %v (steal capped at MaxBatch, victim drains the rest)", calls, want)
-	}
-	st := svc.Stats()
-	if st.CoalescedBatches != 1 || st.CoalescedWindows != 3 {
-		t.Fatalf("coalesce counters %d/%d, want 1 batch with 3 stolen windows", st.CoalescedBatches, st.CoalescedWindows)
-	}
-	mu.Lock()
-	got := append([]float64(nil), order[victim]...)
-	mu.Unlock()
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("victim session estimates out of order: %v", got)
-		}
-	}
-	if len(got) != 5 {
-		t.Fatalf("victim session got %d estimates, want 5", len(got))
-	}
-}
-
 // TestCoalesceDeterministicReplay pins the property fleetsim depends
 // on: the same manual-dispatch scenario produces the byte-identical
 // batch sequence on every run — steal order under Flush is a pure
@@ -255,7 +178,6 @@ func TestCoalesceDeterministicReplay(t *testing.T) {
 			WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
 			WithShards(8),
 			WithManualDispatch(),
-			WithCoalescePolicy(CoalescePolicy{MinBatch: 6, MaxBatch: 8}),
 			WithBatchFailpoint(log.hook),
 		)
 		if err != nil {
@@ -292,7 +214,7 @@ func TestCoalesceDeterministicReplay(t *testing.T) {
 // TestCoalesceExactAccountingConcurrent re-proves the shed partition
 // invariant with stealing in the mix: under concurrent producers,
 // background dispatchers, a tight ShedPolicy, AND cross-shard
-// coalescing, every completed window is still either predicted exactly
+// work sharing, every completed window is still either predicted exactly
 // once or shed exactly once — takes under the victim shard's own lock
 // keep the depth and shed accounting exact no matter which dispatcher
 // does the taking. Run under -race.
@@ -309,8 +231,7 @@ func TestCoalesceExactAccountingConcurrent(t *testing.T) {
 		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
 		WithShards(4),
 		WithShedPolicy(ShedPolicy{MaxQueueDepth: 2, MinPriority: 1}),
-		WithCoalescePolicy(CoalescePolicy{MinBatch: 8}),
-		WithBatchInterval(200*time.Microsecond),
+		WithBatchFailpoint(func(int, int) { time.Sleep(200 * time.Microsecond) }),
 		WithEstimateFunc(func(Estimate) { estimates.Add(1) }),
 	)
 	if err != nil {
@@ -365,5 +286,253 @@ func TestCoalesceExactAccountingConcurrent(t *testing.T) {
 	}
 	if st.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after drain", st.QueueDepth)
+	}
+}
+
+// TestDefaultWorkSharing pins what a service built with no dispatch
+// option does: four shards holding one window each flush as ONE
+// PredictBatch call served by the first shard, and the merged batches
+// keep the two per-shard guarantees — per-session estimate order, and
+// no window enqueued after Deploy returned predicted by the old model.
+func TestDefaultWorkSharing(t *testing.T) {
+	const shards = 4
+	log := &batchLog{}
+	got := map[string][]Estimate{}
+	svc, err := New(context.Background(),
+		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
+		WithShards(shards),
+		WithManualDispatch(),
+		WithBatchFailpoint(log.hook),
+		WithEstimateFunc(func(e Estimate) { got[e.SessionID] = append(got[e.SessionID], e) }),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	sessions := make([]*Session, shards)
+	for idx := range sessions {
+		if sessions[idx], err = svc.StartSession(idsOnShard(svc, idx, 1)[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	pushWindow := func() {
+		for _, ss := range sessions {
+			if err := ss.Push(dp(float64(next*10+1), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next++
+	}
+	pushWindow() // opens every session's first window
+	pushWindow() // completes it: one queued window per shard
+	svc.Flush()
+
+	if calls, want := log.snapshot(), [][2]int{{0, shards}}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("batch sequence %v, want %v (shard 0 serves all four queues)", calls, want)
+	}
+	st := svc.Stats()
+	if st.CoalescedBatches != 1 || st.CoalescedWindows != shards-1 {
+		t.Fatalf("coalesce counters %d/%d, want 1 batch with %d neighbor windows", st.CoalescedBatches, st.CoalescedWindows, shards-1)
+	}
+
+	// Two windows per session queued before Deploy, two after, all
+	// flushed together: whatever the merge order, the post-Deploy
+	// windows must carry the new version.
+	pushWindow()
+	pushWindow()
+	v2, err := svc.Deploy(&Deployment{Model: &stubModel{base: 2}, Name: "v2", Aggregation: rawAgg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := float64((next-1)*10 + 1) // Tgen of the first window completed after Deploy
+	pushWindow()
+	pushWindow()
+	svc.Flush()
+
+	for _, ss := range sessions {
+		ests := got[ss.ID()]
+		if len(ests) != 5 {
+			t.Fatalf("session %s got %d estimates, want 5", ss.ID(), len(ests))
+		}
+		for i, e := range ests {
+			if i > 0 && e.Tgen <= ests[i-1].Tgen {
+				t.Fatalf("session %s estimates out of order: %v", ss.ID(), ests)
+			}
+			if e.Tgen >= fresh && e.ModelVersion != v2 {
+				t.Fatalf("session %s window %v enqueued after Deploy predicted by version %d, want %d", ss.ID(), e.Tgen, e.ModelVersion, v2)
+			}
+		}
+	}
+}
+
+// TestThiefVsSweepAndClose is the in-flight interaction gate (run under
+// -race): while a thief from another shard carries a session's windows,
+// the idle sweep must spare that session (pendingWindows), a window
+// pushed mid-carry must queue or shed exactly, the session's own Close
+// must not lose what is in flight, and Service.Close must wait for the
+// thief and then drain the rest — predicted + shed == accepted, every
+// window exactly once.
+func TestThiefVsSweepAndClose(t *testing.T) {
+	const ttl = 50 * time.Millisecond
+	var clk atomic.Int64
+	clk.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+	now := func() time.Time { return time.Unix(0, clk.Load()) }
+
+	type key struct {
+		id   string
+		tgen float64
+	}
+	var seenMu sync.Mutex
+	seen := make(map[key]int)
+	record := func(e Estimate) {
+		seenMu.Lock()
+		seen[key{e.SessionID, e.Tgen}]++
+		seenMu.Unlock()
+	}
+
+	entered := make(chan struct{})
+	unblock := make(chan struct{})
+	var armed atomic.Bool
+	armed.Store(true)
+	failpoint := func(shard, size int) {
+		if size == 3 && armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-unblock
+		}
+	}
+
+	svc, err := New(context.Background(),
+		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
+		WithShards(3),
+		WithManualDispatch(),
+		WithClock(now),
+		WithSessionTTL(ttl),
+		WithBatchFailpoint(failpoint),
+		WithEstimateFunc(record),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	// victim session on shard 1 with two completed windows queued;
+	// trigger session on shard 0 with one (its flush will steal shard
+	// 1's queue); idle session on shard 2 proving the sweep really ran.
+	// Shedding starts once the stage is set.
+	victimID := idsOnShard(svc, 1, 1)[0]
+	victim, err := svc.StartSession(victimID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	for w := 0; w <= 2; w++ {
+		if err := victim.Push(dp(float64(w*10+1), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	accepted += 2
+	triggerID := idsOnShard(svc, 0, 1)[0]
+	trigger, err := svc.StartSession(triggerID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w <= 1; w++ {
+		if err := trigger.Push(dp(float64(w*10+1), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	accepted++
+	if _, err := svc.StartSession(idsOnShard(svc, 2, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SetShedPolicy(ShedPolicy{MaxQueueDepth: 1, MinPriority: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The thief: flushing shard 0 takes its own single window, steals
+	// shard 1's two, and blocks in the failpoint holding both dispatch
+	// mutexes with the three windows in flight.
+	thiefDone := make(chan struct{})
+	go func() {
+		defer close(thiefDone)
+		svc.flushShard(svc.shards[0])
+	}()
+	<-entered
+
+	// Mid-carry pushes land on the victim's (emptied) home queue: the
+	// first is accepted, the second finds the queue at the shed depth.
+	if err := victim.Push(dp(31, 1)); err != nil {
+		t.Fatal(err)
+	}
+	accepted++
+	if err := victim.Push(dp(41, 1)); !errors.Is(err, ErrWindowShed) {
+		t.Fatalf("second mid-carry push: %v, want ErrWindowShed", err)
+	}
+	accepted++
+
+	// The sweep: everything is past the TTL on the virtual clock, but
+	// the victim and trigger sessions have windows in flight or queued
+	// and must be spared; only the idle session goes.
+	clk.Add(int64(10 * ttl))
+	svc.SweepIdleNow()
+	if got := svc.Stats().EvictedSessions; got != 1 {
+		t.Fatalf("sweep evicted %d sessions mid-carry, want exactly 1 (the idle one)", got)
+	}
+	if _, ok := svc.Session(victimID); !ok {
+		t.Fatal("victim session evicted while a thief carried its windows")
+	}
+
+	// The session's own Close never waits for a dispatcher; the
+	// service's Close must — its drain needs shard 0's dispatch mutex.
+	if err := victim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Push(dp(51, 1)); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("push after session Close: %v, want ErrSessionClosed", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		svc.Close()
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Service.Close returned while the thief still carried three windows")
+	case <-time.After(20 * time.Millisecond):
+	}
+	seenMu.Lock()
+	early := len(seen)
+	seenMu.Unlock()
+	if early != 0 {
+		t.Fatalf("%d windows delivered while the thief was blocked", early)
+	}
+
+	close(unblock)
+	<-thiefDone
+	<-closed
+
+	st := svc.Stats()
+	if got := st.Predictions + st.ShedWindows; st.ShedWindows != 1 || got != uint64(accepted) {
+		t.Fatalf("predicted %d + shed %d != accepted %d (want exactly one shed)", st.Predictions, st.ShedWindows, accepted)
+	}
+	if st.QueueDepth != 0 {
+		t.Fatalf("queue depth %d after Close — a window was stranded", st.QueueDepth)
+	}
+	seenMu.Lock()
+	defer seenMu.Unlock()
+	// Single-datapoint windows emit tgen = the datapoint's Tgen.
+	wantKeys := []key{
+		{victimID, 1}, {victimID, 11}, {victimID, 21},
+		{triggerID, 1},
+	}
+	if len(seen) != len(wantKeys) {
+		t.Fatalf("%d distinct windows predicted, want %d: %v", len(seen), len(wantKeys), seen)
+	}
+	for _, k := range wantKeys {
+		if seen[k] != 1 {
+			t.Fatalf("window %v predicted %d times, want exactly once", k, seen[k])
+		}
 	}
 }

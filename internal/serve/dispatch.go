@@ -7,8 +7,8 @@ import (
 )
 
 // dispatcher is one shard's batching loop: woken by enqueue, it
-// predicts the shard's queued windows in one batch per registry
-// snapshot, optionally coalescing for batchInterval first.
+// predicts the shard's queued windows (and, while the batch is small,
+// its neighbors') in one batch per registry snapshot.
 func (s *Service) dispatcher(sh *shard) {
 	defer s.wg.Done()
 	for {
@@ -17,16 +17,6 @@ func (s *Service) dispatcher(sh *shard) {
 			s.shutdownOnce.Do(s.shutdown)
 			return
 		case <-sh.kick:
-		}
-		if d := s.cfg.batchInterval; d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-s.ctx.Done():
-				t.Stop()
-				s.shutdownOnce.Do(s.shutdown)
-				return
-			case <-t.C:
-			}
 		}
 		s.flushShard(sh)
 	}
@@ -64,9 +54,9 @@ func (s *Service) Flush() {
 }
 
 // flushShard drains one shard's pending queue: per iteration it takes
-// the queue, optionally coalesces neighbor queues into the same batch
-// (CoalescePolicy), snapshots the registry, merges everything into one
-// PredictBatch call, and delivers the estimates in enqueue order.
+// the queue, extends a small take with neighbor queues (coalesce.go),
+// snapshots the registry, merges everything into one PredictBatch
+// call, and delivers the estimates in enqueue order.
 func (s *Service) flushShard(sh *shard) {
 	sh.dispatchMu.Lock()
 	defer sh.dispatchMu.Unlock()
@@ -83,19 +73,17 @@ type segment struct {
 // dispatchOnce takes and predicts one batch for sh, reporting whether
 // there was anything to do. The caller holds sh.dispatchMu, and holds
 // it until delivery completes — together with the thief protocol in
-// coalesce.go and the migration protocol in placement.go this is the
-// load-bearing guarantee that "dispatchMu held" implies "no window
-// taken from this shard is awaiting delivery".
+// coalesce.go this is the load-bearing guarantee that per-session
+// estimate order survives a neighbor serving this shard's queue.
 func (s *Service) dispatchOnce(sh *shard) bool {
-	pol := s.cfg.coalesce
-	own := s.take(sh, pol.MaxBatch)
+	own := s.take(sh)
 	if len(own) == 0 {
 		return false
 	}
 	segs := []segment{{sh, own}}
 	total := len(own)
-	if pol.MinBatch > 0 && total < pol.MinBatch && len(s.shards) > 1 {
-		segs, total = s.steal(sh, segs, total, pol)
+	if total < coalesceMin {
+		segs, total = s.steal(sh, segs, total)
 		// Victims' dispatch mutexes stay held until their segments'
 		// estimates are delivered below.
 		defer unlockVictims(segs)

@@ -4,27 +4,6 @@ import (
 	"time"
 )
 
-// CoalescePolicy is the adaptive cross-shard batch-coalescing
-// configuration: a dispatcher whose freshly-taken queue is smaller
-// than MinBatch steals its neighbors' pending windows (ring order,
-// try-lock only — it never blocks behind a busy neighbor) and merges
-// them into the same PredictBatch call, so light fleet-wide load
-// produces a few well-filled batches instead of one tiny batch per
-// shard. Under load every shard's own queue reaches MinBatch and the
-// policy self-disables — stealing never happens where per-shard
-// batching is already efficient. The zero value disables coalescing.
-type CoalescePolicy struct {
-	// MinBatch is the batch size a dispatcher aims for before
-	// predicting: a take smaller than this triggers stealing until the
-	// merged batch reaches MinBatch (or every neighbor was visited).
-	// 0 disables coalescing.
-	MinBatch int
-	// MaxBatch caps the merged batch size; a victim's queue is split
-	// rather than overshooting the cap (the remainder stays queued in
-	// enqueue order). 0 means no cap.
-	MaxBatch int
-}
-
 // ShedPolicy is the load-shedding configuration: past a per-shard
 // queue depth, completed windows of sessions below the priority floor
 // are dropped instead of queued. Queue growth is the service's
@@ -55,15 +34,12 @@ type config struct {
 	alertFunc       AlertFunc
 	alertBelow      float64
 	maxSessions     int
-	batchInterval   time.Duration
 	sessionTTL      time.Duration
 	evictFunc       EvictFunc
 	refreshInterval time.Duration
 	shards          int
 	shed            ShedPolicy
 	shedFunc        ShedFunc
-	coalesce        CoalescePolicy
-	placer          Placer
 	now             func() time.Time
 	manual          bool
 	batchFailpoint  func(shard, size int)
@@ -85,8 +61,10 @@ func WithModelSource(src ModelSource) Option {
 // WithEstimateFunc registers a service-wide estimate consumer, invoked
 // from the dispatch goroutines in per-session order. It must be fast
 // and must not call back into Flush or Close. With more than one shard
-// it may be invoked concurrently for sessions of different shards, so
-// it must be safe for concurrent use.
+// it may be invoked concurrently for different sessions — and one
+// session's estimates may arrive from different goroutines over time,
+// its home shard's dispatcher or a neighbor's that served the queue —
+// so it must be safe for concurrent use.
 func WithEstimateFunc(fn EstimateFunc) Option {
 	return func(c *config) { c.estimateFunc = fn }
 }
@@ -94,7 +72,8 @@ func WithEstimateFunc(fn EstimateFunc) Option {
 // WithAlertFunc raises an alert whenever a session's predicted RTTF
 // crosses below threshold seconds (edge-triggered: one alert per
 // crossing, re-armed when the prediction recovers or the run ends).
-// Like WithEstimateFunc it may be invoked concurrently across shards.
+// Like WithEstimateFunc it may be invoked concurrently, from any
+// shard's dispatcher.
 func WithAlertFunc(threshold float64, fn AlertFunc) Option {
 	return func(c *config) { c.alertBelow, c.alertFunc = threshold, fn }
 }
@@ -103,14 +82,6 @@ func WithAlertFunc(threshold float64, fn AlertFunc) Option {
 // (0 = unlimited).
 func WithMaxSessions(n int) Option {
 	return func(c *config) { c.maxSessions = n }
-}
-
-// WithBatchInterval makes each dispatcher coalesce completed windows
-// for up to d before predicting, trading latency for bigger prediction
-// batches across sessions. 0 (the default) dispatches as soon as the
-// dispatcher is free.
-func WithBatchInterval(d time.Duration) Option {
-	return func(c *config) { c.batchInterval = d }
 }
 
 // WithSessionTTL bounds session memory for million-client deployments:
@@ -151,12 +122,14 @@ func WithRefreshInterval(d time.Duration) Option {
 }
 
 // WithShards sets how many shards (and dispatcher goroutines) the
-// service runs. Sessions are placed onto shards by the configured
-// Placer (by default an id hash); each shard owns a slice of the
-// session map, its own pending queue, and one dispatcher, so enqueue,
+// service runs. A session lives on the shard its id hashes to
+// (FNV-1a) for its whole life; each shard owns a slice of the session
+// map, its own pending queue, and one dispatcher, so enqueue,
 // prediction, and the idle sweep contend per shard instead of on one
-// service lock. 0 (the default) uses GOMAXPROCS. One shard reproduces
-// the single-dispatcher behavior exactly.
+// service lock. A dispatcher whose batch is small also serves its
+// neighbors' queues in the same PredictBatch call (coalesce.go). 0
+// (the default) uses GOMAXPROCS. One shard reproduces the
+// single-dispatcher behavior exactly.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -168,23 +141,6 @@ func WithShards(n int) Option {
 // counted exactly in Stats.ShedWindows. The zero policy never sheds.
 func WithShedPolicy(p ShedPolicy) Option {
 	return func(c *config) { c.shed = p }
-}
-
-// WithCoalescePolicy enables adaptive cross-shard batch coalescing: a
-// dispatcher whose own take is smaller than the policy's MinBatch
-// steals its ring neighbors' pending windows into the same
-// PredictBatch call. Stealing preserves every per-shard guarantee —
-// the registry snapshot is taken after the last steal (post-Deploy
-// freshness holds for stolen rows too), the queue-depth and shed
-// accounting stay exact because takes happen under the victim shard's
-// own lock, and per-session estimate order is preserved because a
-// victim's dispatch stays serialized on its dispatchMu for the whole
-// merged batch. Under WithManualDispatch the steal order is
-// deterministic (ring order from the flushing shard), so fleetsim
-// scenarios replay it byte-identically. The zero policy disables
-// coalescing.
-func WithCoalescePolicy(p CoalescePolicy) Option {
-	return func(c *config) { c.coalesce = p }
 }
 
 // WithShedFunc registers a consumer for shed-window notifications: one

@@ -22,21 +22,21 @@
 //     the kernel/tree evaluation hot path.
 //
 // The hot path is sharded for fleet-scale client counts, and split
-// across this package by layer: shard.go is the mechanism (session
-// map slices, pending queues, the enqueue path, the idle-TTL sweep),
-// dispatch.go the batch loop, coalesce.go the cross-shard batch
-// stealing, and placement.go the policy — a pluggable Placer maps
-// session ids onto shards (FNV hashing by default, WithPlacement to
-// swap in the load-tracked placer) and Service.Rebalance physically
-// migrates sessions off hot shards. Enqueue, prediction, and the
-// idle-TTL sweep only ever take one shard's lock, so a sweep over
-// 10⁵ sessions or a slow batch on one shard never stalls the others.
-// Per-shard batches still merge all of that shard's sessions into one
-// PredictBatch call over the same immutable registry snapshot, so the
-// post-Deploy freshness guarantee holds shard by shard. Under
-// sustained overload an optional ShedPolicy drops completed windows of
+// across this package by layer: shard.go is the mechanism (the FNV id
+// hash that fixes a session's home shard for life, session map slices,
+// pending queues, the enqueue path, the idle-TTL sweep), dispatch.go
+// the batch loop, and coalesce.go the work sharing — a dispatcher whose
+// batch is small serves its neighbors' queues in the same PredictBatch
+// call. Load is levelled three ways and no more: the hash spreads
+// sessions, work sharing spreads dispatch, and under sustained
+// overload an optional ShedPolicy drops completed windows of
 // low-priority sessions (WithSessionPriority) instead of queuing them,
-// with exact shed accounting in Stats.
+// with exact shed accounting in Stats. Enqueue, prediction, and the
+// idle-TTL sweep only ever take one shard's lock at a time, so a sweep
+// over 10⁵ sessions or a slow batch on one shard never stalls the
+// others. A batch is predicted over one immutable registry snapshot
+// taken after its last take, so the post-Deploy freshness guarantee
+// holds for own and neighbor rows alike.
 //
 // A Service plugs directly into the FMS via monitor.WithStream, closing
 // the loop monitor → aggregate → predict → act in one process.
@@ -172,11 +172,10 @@ type Shed struct {
 type ShedFunc func(Shed)
 
 // Service is the prediction service: a versioned model registry, the
-// sharded session set, the batching dispatchers, and the placement
-// layer routing sessions onto shards. All methods are safe for
-// concurrent use. The service stops — sessions refuse further pushes,
-// the dispatchers drain and exit — when the context given to New is
-// cancelled or Close is called.
+// sharded session set, and the batching dispatchers. All methods are
+// safe for concurrent use. The service stops — sessions refuse further
+// pushes, the dispatchers drain and exit — when the context given to
+// New is cancelled or Close is called.
 type Service struct {
 	cfg    config
 	agg    aggregate.Config
@@ -196,10 +195,6 @@ type Service struct {
 	deployMu sync.Mutex // serializes Deploy (version allocation + store)
 
 	shards []*shard
-	// placer is the placement policy (WithPlacement; default
-	// HashPlacer): every shard lookup routes through it, and
-	// Rebalance applies the migrations it proposes.
-	placer Placer
 	// closed flips before the per-shard closed flags: StartSession
 	// checks it so no session can appear on a shard the shutdown pass
 	// has not reached yet.
@@ -228,7 +223,6 @@ type Service struct {
 	predictions     atomic.Uint64
 	alerts          atomic.Uint64
 	evicted         atomic.Uint64
-	migrations      atomic.Uint64
 	refreshes       atomic.Uint64
 	refreshFailures atomic.Uint64
 	lastBatchNs     atomic.Int64
@@ -250,15 +244,6 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 	}
 	if cfg.shed.MaxQueueDepth < 0 || cfg.shed.MinPriority < 0 {
 		return nil, fmt.Errorf("serve: ShedPolicy fields must be non-negative: %+v", cfg.shed)
-	}
-	if cfg.coalesce.MinBatch < 0 || cfg.coalesce.MaxBatch < 0 {
-		return nil, fmt.Errorf("serve: CoalescePolicy fields must be non-negative: %+v", cfg.coalesce)
-	}
-	if cfg.coalesce.MaxBatch > 0 && cfg.coalesce.MaxBatch < cfg.coalesce.MinBatch {
-		return nil, fmt.Errorf("serve: CoalescePolicy MaxBatch %d below MinBatch %d", cfg.coalesce.MaxBatch, cfg.coalesce.MinBatch)
-	}
-	if cfg.placer == nil {
-		cfg.placer = HashPlacer{}
 	}
 	dep := cfg.dep
 	if dep == nil && cfg.source != nil {
@@ -288,7 +273,6 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 		names:  names,
 		colIdx: make(map[string]int, len(names)),
 		shards: make([]*shard, nShards),
-		placer: cfg.placer,
 		now:    cfg.now,
 	}
 	if s.now == nil {
@@ -375,9 +359,9 @@ func (s *Service) ModelVersion() uint64 { return s.cur.Load().version }
 // service's aggregation config (its feature subset may differ — the
 // projection is rebuilt). In-flight batches finish with the model they
 // snapshotted; every window enqueued after Deploy returns is predicted
-// by the new model, on every shard: each shard snapshots the registry
-// after taking its queue, so a row enqueued post-Deploy can only land
-// in a batch whose snapshot already sees the new model.
+// by the new model, on every shard: a dispatcher snapshots the
+// registry after its last take, so a row enqueued post-Deploy can only
+// land in a batch whose snapshot already sees the new model.
 func (s *Service) Deploy(dep *Deployment) (uint64, error) {
 	if dep == nil || dep.Model == nil {
 		return 0, ErrNoModel

@@ -36,11 +36,9 @@ func WithSessionPriority(p int) SessionOption {
 // use with Push.
 type Session struct {
 	svc *Service
-	// home is the shard the session currently lives on. It only moves
-	// under BOTH shard locks (placement migration), and every reader
-	// that needs a stable home re-checks the pointer under the shard
-	// lock it acquired — see enqueue and removeSession.
-	home       atomic.Pointer[shard]
+	// home is the shard the session lives on, fixed by the id hash at
+	// StartSession and immutable afterwards.
+	home       *shard
 	id         string
 	onEstimate EstimateFunc
 	// priority orders the session for load shedding (WithShedPolicy):
@@ -56,9 +54,9 @@ type Session struct {
 	// pendingWindows counts this session's windows that are queued or
 	// in a batch being predicted (incremented at enqueue under the
 	// home shard's lock, decremented after estimate delivery). The
-	// idle sweep spares any session with a nonzero count, no matter
-	// which shard's queue — or which thief's merged batch — currently
-	// carries the windows.
+	// idle sweep spares any session with a nonzero count, whether its
+	// home queue or a thief's merged batch currently carries the
+	// windows.
 	pendingWindows atomic.Int64
 
 	mu     sync.Mutex
@@ -78,8 +76,7 @@ func newSession(s *Service, sh *shard, id string, opts ...SessionOption) (*Sessi
 	if err != nil {
 		return nil, err
 	}
-	ss := &Session{svc: s, id: id, la: la}
-	ss.home.Store(sh)
+	ss := &Session{svc: s, home: sh, id: id, la: la}
 	ss.touch()
 	for _, o := range opts {
 		o(ss)

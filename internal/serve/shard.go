@@ -8,20 +8,19 @@ import (
 )
 
 // shard is one slice of the serving hot path: a share of the session
-// map (by the Placer's routing), its own pending queue, and one
+// map (by id hash, see HashPlacer), its own pending queue, and one
 // dispatcher goroutine draining it. All shard state is guarded by the
 // shard's own mutex, so the service never takes a global lock on the
 // enqueue/predict/sweep paths.
 type shard struct {
-	idx      int // position in Service.shards (immutable)
+	idx      int        // position in Service.shards (immutable)
 	mu       sync.Mutex // guards sessions, pending, closed
 	sessions map[string]*Session
 	pending  []pendingRow
 	closed   bool
 
 	// windows counts windows ever enqueued on this shard (monotonic) —
-	// the raw per-shard load signal the placement layer differences
-	// into window rates.
+	// the raw per-shard load signal behind Stats.ShardLoads.
 	windows atomic.Uint64
 
 	kick       chan struct{} // wakes the shard's dispatcher, capacity 1
@@ -42,31 +41,43 @@ type pendingRow struct {
 // and observability labels).
 func (s *Service) shardIndex(sh *shard) int { return sh.idx }
 
-// shardFor routes a session id to its shard through the placement
-// layer (default: FNV-1a hashing, see HashPlacer). A misbehaving
-// placer returning an out-of-range index falls back to the hash.
-func (s *Service) shardFor(id string) *shard {
-	idx := s.placer.Place(id, len(s.shards))
-	if idx < 0 || idx >= len(s.shards) {
-		idx = fnvShard(id, len(s.shards))
+// fnvShard hashes a session id onto a shard index (FNV-1a: cheap,
+// stable, and uniform enough that 10⁴ ids spread within a few
+// percent). The constants and the reduction are pinned bit for bit by
+// TestHashPlacerPinned: committed scenario fingerprints and every
+// shard-targeted id in the tests and the benchmark depend on them.
+func fnvShard(id string, shards int) int {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint32(id[i])) * prime32
 	}
-	return s.shards[idx]
+	return int(h % uint32(shards))
 }
 
-// lockShardFor returns the shard id currently routes to, with that
-// shard's lock held. Routing is re-checked under the lock: a
-// migration commits its routing-table flip while holding both
-// affected shard locks, so once the lock is held and the re-check
-// passes, the placement cannot change until the caller unlocks.
+// HashPlacer exposes the service's routing — the shard a session id
+// lives on for its whole life — so a harness can stage a chosen
+// per-shard load without reaching into the package.
+type HashPlacer struct{}
+
+// Place maps a session id to a shard index in [0, shards).
+func (HashPlacer) Place(id string, shards int) int { return fnvShard(id, shards) }
+
+// shardFor routes a session id to its shard. The mapping is a pure
+// function of the id and the shard count, so a session's home never
+// changes.
+func (s *Service) shardFor(id string) *shard {
+	return s.shards[fnvShard(id, len(s.shards))]
+}
+
+// lockShardFor returns the shard id routes to, with its lock held.
 func (s *Service) lockShardFor(id string) *shard {
-	for {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		if s.shardFor(id) == sh {
-			return sh
-		}
-		sh.mu.Unlock()
-	}
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	return sh
 }
 
 // StartSession registers a new monitored client and returns its
@@ -121,25 +132,14 @@ func (s *Service) Sessions() []string {
 
 // enqueue queues one completed window on the session's home shard for
 // the next prediction batch, or sheds it under the ShedPolicy. The
-// home pointer is re-read under the shard lock: a migration flips it
-// while holding both shard locks, so a push racing a migration either
-// lands on the old shard before the flip (and moves with the session)
-// or retries onto the new one. The session's closed flag is also
-// re-checked under the shard lock: a push that raced the idle sweep
-// past its own closed-check must not slip a window in after the sweep
-// delivered the session's final snapshot. (Lock order sh.mu→ss.mu
-// matches the sweep; no caller holds a session lock while acquiring a
-// shard lock.)
+// session's closed flag is re-checked under the shard lock: a push
+// that raced the idle sweep past its own closed-check must not slip a
+// window in after the sweep delivered the session's final snapshot.
+// (Lock order sh.mu→ss.mu matches the sweep; no caller holds a session
+// lock while acquiring a shard lock.)
 func (s *Service) enqueue(ss *Session, tgen float64, row []float64, endRun bool) error {
-	var sh *shard
-	for {
-		sh = ss.home.Load()
-		sh.mu.Lock()
-		if ss.home.Load() == sh {
-			break
-		}
-		sh.mu.Unlock()
-	}
+	sh := ss.home
+	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
 		return ErrServiceClosed
@@ -181,9 +181,7 @@ func (s *Service) enqueue(ss *Session, tgen float64, row []float64, endRun bool)
 	// count, so a session with queued work is never evicted.
 	ss.pendingWindows.Add(1)
 	sh.windows.Add(1)
-	idx := sh.idx
 	sh.mu.Unlock()
-	s.placer.Observe(ss.id, idx)
 	select {
 	case sh.kick <- struct{}{}:
 	default:
@@ -191,27 +189,17 @@ func (s *Service) enqueue(ss *Session, tgen float64, row []float64, endRun bool)
 	return nil
 }
 
-// take moves up to limit pending rows (0 = all, oldest first) off sh's
-// queue. Everything happens under the shard's own lock — the same
-// lock the enqueue-side depth increment, the shed check, and the
-// sweep take — so the queue-depth counter and the shed accounting
-// stay exact even when the taker is another shard's dispatcher (a
-// coalescing thief). The rows' sessions stay protected from the idle
-// sweep by their pendingWindows counts, which release drops only
-// after delivery.
-func (s *Service) take(sh *shard, limit int) []pendingRow {
+// take moves every pending row off sh's queue. Everything happens
+// under the shard's own lock — the same lock the enqueue-side depth
+// increment, the shed check, and the sweep take — so the queue-depth
+// counter and the shed accounting stay exact even when the taker is
+// another shard's dispatcher (a coalescing thief). The rows' sessions
+// stay protected from the idle sweep by their pendingWindows counts,
+// which release drops only after delivery.
+func (s *Service) take(sh *shard) []pendingRow {
 	sh.mu.Lock()
 	rows := sh.pending
-	if limit > 0 && limit < len(rows) {
-		// Split takes copy the remainder so the taken prefix (capped at
-		// its own length) never aliases the victim's future appends.
-		rest := make([]pendingRow, len(rows)-limit)
-		copy(rest, rows[limit:])
-		sh.pending = rest
-		rows = rows[:limit:limit]
-	} else {
-		sh.pending = nil
-	}
+	sh.pending = nil
 	if len(rows) > 0 {
 		s.queueDepth.Add(-int64(len(rows)))
 	}
@@ -221,9 +209,8 @@ func (s *Service) take(sh *shard, limit int) []pendingRow {
 
 // release drops the pending-window counts enqueue published, after
 // the rows' estimates have been delivered. The count lives on the
-// session, not the shard, so it survives both coalescing (a thief
-// carries the rows) and migration (the session changes home while the
-// rows are carried) — the idle sweep spares the session either way.
+// session, not the shard, so it survives coalescing (a thief carries
+// the rows) — the idle sweep spares the session either way.
 func release(rows []pendingRow) {
 	for i := range rows {
 		rows[i].sess.pendingWindows.Add(-1)
@@ -232,25 +219,13 @@ func release(rows []pendingRow) {
 
 // removeSession detaches a closed session from its home shard.
 func (s *Service) removeSession(ss *Session) {
-	var sh *shard
-	for {
-		sh = ss.home.Load()
-		sh.mu.Lock()
-		if ss.home.Load() == sh {
-			break
-		}
-		sh.mu.Unlock()
-	}
-	removed := false
+	sh := ss.home
+	sh.mu.Lock()
 	if cur, ok := sh.sessions[ss.id]; ok && cur == ss {
 		delete(sh.sessions, ss.id)
 		s.sessionCount.Add(-1)
-		removed = true
 	}
 	sh.mu.Unlock()
-	if removed {
-		s.placer.Forget(ss.id)
-	}
 }
 
 // sweeper is the idle-TTL eviction loop: every quarter TTL it removes
@@ -310,10 +285,10 @@ func (s *Service) sweepIdle(now time.Time) {
 		}
 		for id, ss := range sh.sessions {
 			// Sessions with windows still awaiting delivery — queued
-			// here, queued on a new home mid-migration, or in the batch
-			// being predicted right now (by this shard's own dispatcher
-			// or by a coalescing thief that took the queue) — carry a
-			// nonzero pendingWindows count and are spared this round:
+			// here, or in the batch being predicted right now (by this
+			// shard's own dispatcher or by a coalescing thief that took
+			// the queue) — carry a nonzero pendingWindows count and are
+			// spared this round:
 			// the evict hook's snapshot must be final. The delivery
 			// itself touches the activity stamp, so such a session is
 			// reconsidered one idle TTL after its last estimate, not
@@ -337,7 +312,6 @@ func (s *Service) sweepIdle(now time.Time) {
 		sh.mu.Unlock()
 		for _, ss := range victims {
 			s.evicted.Add(1)
-			s.placer.Forget(ss.id)
 			if fn := s.cfg.evictFunc; fn != nil {
 				last, ok := ss.Latest()
 				fn(EvictedSession{ID: ss.id, Last: last, HasEstimate: ok, Estimates: ss.Count()})

@@ -71,17 +71,17 @@ func TestShardedServingStress(t *testing.T) {
 		sessions[i] = ss
 	}
 
-	// Shard balance: the default hash placer must spread 10⁴ ids so no
-	// shard holds more than twice (or less than half) its fair share —
-	// otherwise "sharded" dispatch degenerates back to one queue. The
-	// histogram comes from the placer itself (testutil.Spread), then a
-	// spot check confirms the session maps agree with the placement.
+	// Shard balance: the id hash must spread 10⁴ ids so no shard holds
+	// more than twice (or less than half) its fair share — otherwise
+	// "sharded" dispatch degenerates back to one queue. The histogram
+	// comes from the exported routing (testutil.Spread), then a spot
+	// check confirms the session maps agree with it.
 	ids := make([]string, numSessions)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("s-%05d", i)
 	}
 	fair := numSessions / numShards
-	for i, n := range testutil.Spread(svc.placer.Place, ids, numShards) {
+	for i, n := range testutil.Spread(HashPlacer{}.Place, ids, numShards) {
 		if n < fair/2 || n > fair*2 {
 			t.Fatalf("shard %d placed %d sessions, fair share is %d", i, n, fair)
 		}
@@ -90,7 +90,7 @@ func TestShardedServingStress(t *testing.T) {
 		held := len(sh.sessions)
 		sh.mu.Unlock()
 		if held != n {
-			t.Fatalf("shard %d holds %d sessions but the placer routed %d there", i, held, n)
+			t.Fatalf("shard %d holds %d sessions but the hash routed %d there", i, held, n)
 		}
 	}
 
@@ -209,10 +209,10 @@ func TestShedPolicyExactAccounting(t *testing.T) {
 	svc, err := New(ctx,
 		WithDeployment(&Deployment{Model: &stubModel{base: 1}, Name: "v1", Aggregation: rawAgg()}),
 		WithShards(4),
-		// Tiny per-shard depth + a coalescing interval keep the queue
-		// over the threshold while producers are faster than dispatch.
+		// Tiny per-shard depth + a stalled batch keep the queue over
+		// the threshold while producers are faster than dispatch.
 		WithShedPolicy(ShedPolicy{MaxQueueDepth: 2, MinPriority: 1}),
-		WithBatchInterval(200*time.Microsecond),
+		WithBatchFailpoint(func(int, int) { time.Sleep(200 * time.Microsecond) }),
 		WithEstimateFunc(func(Estimate) { estimates.Add(1) }),
 	)
 	if err != nil {
@@ -348,5 +348,31 @@ func TestShardedSweepEviction(t *testing.T) {
 	}
 	if st.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after drain", st.QueueDepth)
+	}
+}
+
+// TestHashPlacerPinned pins the routing bit-for-bit: the FNV-1a
+// constants and reduction must never drift, or every committed
+// scenario fingerprint and shard-targeted test id breaks.
+func TestHashPlacerPinned(t *testing.T) {
+	legacy := func(id string, shards int) int {
+		const (
+			offset32 = 2166136261
+			prime32  = 16777619
+		)
+		h := uint32(offset32)
+		for i := 0; i < len(id); i++ {
+			h = (h ^ uint32(id[i])) * prime32
+		}
+		return int(h % uint32(shards))
+	}
+	p := HashPlacer{}
+	for shards := 1; shards <= 16; shards++ {
+		for i := 0; i < 500; i++ {
+			id := fmt.Sprintf("s-%05d", i)
+			if got, want := p.Place(id, shards), legacy(id, shards); got != want {
+				t.Fatalf("Place(%q, %d) = %d, legacy FNV path gives %d", id, shards, got, want)
+			}
+		}
 	}
 }

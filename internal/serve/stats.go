@@ -4,12 +4,27 @@ import (
 	"time"
 )
 
+// ShardLoad is one shard's load snapshot, exposed through
+// Stats.ShardLoads.
+type ShardLoad struct {
+	// Shard is the shard index.
+	Shard int
+	// Sessions is the number of sessions currently homed on the shard.
+	Sessions int
+	// QueueDepth is the shard's pending-window count at snapshot time.
+	QueueDepth int
+	// Windows is the cumulative count of windows enqueued on the shard
+	// since New — monotonic, so successive snapshots difference into
+	// per-interval window rates.
+	Windows uint64
+}
+
 // Stats is a snapshot of service counters — the backpressure and
 // lifecycle observability surface: queue depth says how far the
 // dispatchers are behind, last-batch latency/size say what each
 // dispatch costs, the eviction/refresh/shed counters expose the
 // background loops and the load shedder, and the per-shard loads
-// expose the placement layer.
+// show how evenly the id hash spreads the fleet.
 type Stats struct {
 	// Sessions is the number of currently active sessions.
 	Sessions int
@@ -65,23 +80,22 @@ type Stats struct {
 	// fresh).
 	RegistryLastError string
 	// CoalescedBatches counts prediction batches that merged at least
-	// one stolen neighbor window under the CoalescePolicy, and
-	// CoalescedWindows counts the stolen windows themselves. Together
-	// with LastBatchSize they show the coalescer doing its job: at
-	// light fleet-wide load CoalescedBatches grows and batches get
-	// larger; under per-shard load both counters stay flat because
-	// every shard's own take already reaches MinBatch.
+	// one neighbor shard's queue into a dispatcher's own small take
+	// (coalesce.go), and CoalescedWindows counts the neighbor windows
+	// themselves. At light fleet-wide load both grow and batches get
+	// larger; under per-shard load both stay flat because every
+	// shard's own take already reaches the stealing threshold.
 	CoalescedBatches uint64
 	CoalescedWindows uint64
 	// ShardLoads is the per-shard load table — session count, pending
 	// depth, and cumulative enqueued windows per shard, in shard
 	// order. Differencing successive snapshots' Windows fields gives
-	// per-shard window rates; the skew across them is what a
-	// load-tracked Placer (and the autonomic SkewPolicy riding it)
-	// acts on.
+	// per-shard window rates.
 	ShardLoads []ShardLoad
-	// Migrations counts sessions the placement layer actually moved
-	// between shards (Service.Rebalance) since New.
+	// Migrations is always 0: sessions no longer move between shards.
+	// The field stays only because the frozen benchmark/ reads it; the
+	// next benchmark PR drops its serve.migrations metric and this
+	// field together.
 	Migrations uint64
 	// LastBatchLatency is the wall time of the most recent prediction
 	// batch (on any shard), and LastBatchSize its window count.
@@ -122,7 +136,6 @@ func (s *Service) Stats() Stats {
 		CoalescedBatches: s.coalBatches.Load(),
 		CoalescedWindows: s.coalWindows.Load(),
 		ShardLoads:       s.shardLoads(),
-		Migrations:       s.migrations.Load(),
 		LastBatchLatency: time.Duration(s.lastBatchNs.Load()),
 		LastBatchSize:    int(s.lastBatchSize.Load()),
 	}
@@ -139,6 +152,22 @@ func (s *Service) Stats() Stats {
 				out.RegistryStaleAge = age
 			}
 		}
+	}
+	return out
+}
+
+// shardLoads snapshots every shard's load, one shard lock at a time.
+func (s *Service) shardLoads() []ShardLoad {
+	out := make([]ShardLoad, len(s.shards))
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		out[i] = ShardLoad{
+			Shard:      i,
+			Sessions:   len(sh.sessions),
+			QueueDepth: len(sh.pending),
+			Windows:    sh.windows.Load(),
+		}
+		sh.mu.Unlock()
 	}
 	return out
 }

@@ -7,9 +7,8 @@ package testutil
 import "fmt"
 
 // PlaceFunc maps a session id onto a shard index in [0, shards) — the
-// signature of serve.Placer.Place, accepted structurally so callers
-// can pass any placer's Place method (or a bare hash) without this
-// package importing serve.
+// signature of serve.HashPlacer.Place, accepted structurally so callers
+// can pass it (or a bare hash) without this package importing serve.
 type PlaceFunc func(id string, shards int) int
 
 // IDsOnShard returns n distinct session ids that place onto shard idx

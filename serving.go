@@ -51,26 +51,9 @@ type (
 	// depth. Delivered via WithShedFunc; per-priority totals are in
 	// ServeStats.ShedByPriority.
 	Shed = serve.Shed
-	// Placer is the pluggable placement policy: it routes session ids
-	// onto shards and (for load-tracked implementations) plans
-	// hot-session migrations when per-shard load skews.
-	Placer = serve.Placer
-	// HashPlacer is the default stateless FNV-hash placer — the exact
-	// routing the service used before placement became pluggable.
-	HashPlacer = serve.HashPlacer
-	// LoadPlacer tracks per-shard window rates and, past its skew
-	// watermark, plans migrations of the hottest movable sessions onto
-	// the coldest shards via an explicit routing override table.
-	LoadPlacer = serve.LoadPlacer
-	// LoadPlacerConfig shapes a LoadPlacer (watermark, EWMA weight,
-	// per-call move cap).
-	LoadPlacerConfig = serve.LoadPlacerConfig
 	// ShardLoad is one shard's load snapshot (sessions, queue depth,
-	// cumulative windows) — ServeStats.ShardLoads and the Rebalance
-	// planning input.
+	// cumulative windows) — the element of ServeStats.ShardLoads.
 	ShardLoad = serve.ShardLoad
-	// PlacementMove is one planned session migration.
-	PlacementMove = serve.Move
 )
 
 // NewPredictionService builds and starts a prediction service; the
@@ -106,10 +89,6 @@ func WithAlertFunc(threshold float64, fn func(Alert)) ServeOption {
 // WithMaxSessions bounds the number of concurrently active sessions.
 func WithMaxSessions(n int) ServeOption { return serve.WithMaxSessions(n) }
 
-// WithBatchInterval coalesces completed windows for up to d before each
-// prediction batch.
-func WithBatchInterval(d time.Duration) ServeOption { return serve.WithBatchInterval(d) }
-
 // WithSessionTTL evicts sessions idle longer than ttl via a background
 // sweep, bounding session memory for long-lived deployments (windows
 // already queued are still predicted; evicted clients re-register on
@@ -131,7 +110,8 @@ func WithRefreshInterval(d time.Duration) ServeOption { return serve.WithRefresh
 // prediction service runs: sessions hash onto shards by id, each with
 // its own pending queue, dispatcher, and slice of the session map, so
 // enqueue, prediction, and the idle sweep contend per shard instead of
-// on one service lock. 0 (the default) uses GOMAXPROCS.
+// on one service lock; a dispatcher with a small batch also serves its
+// neighbors' queues. 0 (the default) uses GOMAXPROCS.
 func WithServeShards(n int) ServeOption { return serve.WithShards(n) }
 
 // WithShedPolicy enables priority-based load shedding under sustained
@@ -145,20 +125,6 @@ func WithShedPolicy(p ShedPolicy) ServeOption { return serve.WithShedPolicy(p) }
 // timestamp, and triggering queue depth, so operators see who loses
 // windows under overload, not just how many.
 func WithShedFunc(fn func(Shed)) ServeOption { return serve.WithShedFunc(fn) }
-
-// WithPlacement sets the service's placement policy — how session ids
-// map onto shards and whether Rebalance can migrate them. The default
-// (HashPlacer{}) routes by FNV hash, bitwise-identical to the
-// pre-placement service; NewLoadPlacer returns a load-tracked placer
-// that plans hot-session migrations past its skew watermark.
-func WithPlacement(p Placer) ServeOption { return serve.WithPlacement(p) }
-
-// NewLoadPlacer builds a load-tracked placer: per-shard window rates
-// tracked with an EWMA, and a greedy migration planner that moves the
-// hottest movable sessions onto the coldest shards once the hottest
-// shard's rate exceeds cfg.SkewWatermark times the mean. Zero config
-// fields take defaults (watermark 1.5, alpha 0.5, 8 moves per call).
-func NewLoadPlacer(cfg LoadPlacerConfig) *LoadPlacer { return serve.NewLoadPlacer(cfg) }
 
 // WithServeClock sets the prediction service's time source (default
 // time.Now) — the fault-injection hook that lets a simulation harness
