@@ -31,6 +31,30 @@ import (
 	"repro/internal/registry"
 )
 
+// Connection deadlines. The registry speaks to one trainer and a fleet
+// of polling nodes on a control network; nothing it serves takes long,
+// so a peer that stalls is cut off instead of holding a connection and
+// its goroutine forever. They are constants, not flags: no deployment
+// has needed other values.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second // the whole request, so a PUT body that stops arriving ends here
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute // keep-alive between a node's polls
+)
+
+// newServer is the registry's HTTP server with its deadlines set.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:7071", "HTTP listen address")
@@ -81,7 +105,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fmr: seeded v%d etag=%s from %s\n", res.Version, res.ETag, seedFrom)
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: reg}
+	srv := newServer(*listen, reg)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "fmr: registry listening on %s\n", *listen)

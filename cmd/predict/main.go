@@ -5,9 +5,9 @@
 // estimates. When the prediction drops below -act-below, it runs the
 // given command — the paper's proactive rejuvenation action (§I).
 //
-// Models saved with deployment metadata (format v2) carry their feature
-// subset and aggregation config, so Lasso-selected models deploy
-// correctly: live rows are projected through the stored subset. Older
+// Models saved with deployment metadata (format v2 and later) carry
+// their feature subset and aggregation config, so Lasso-selected models
+// deploy correctly: live rows are projected through the stored subset. Older
 // all-params envelopes still load; their window size comes from
 // -window.
 //

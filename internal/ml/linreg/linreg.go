@@ -24,6 +24,13 @@ type Model struct {
 // New returns an unfitted linear regression model.
 func New() *Model { return &Model{} }
 
+// FromCoef returns a fitted model with the given plane, taking ownership
+// of coef: how a model that stores planes of its own (an M5P node)
+// restores them without a JSON detour.
+func FromCoef(coef []float64, intercept float64) *Model {
+	return &Model{Coef: coef, Intercept: intercept, fitted: true}
+}
+
 // Name implements ml.Regressor.
 func (m *Model) Name() string { return "linear" }
 

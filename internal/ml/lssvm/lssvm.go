@@ -27,6 +27,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/ml"
 	"repro/internal/ml/kernel"
+	"repro/internal/ml/packed"
 )
 
 // Options tunes the learner.
@@ -496,15 +497,16 @@ var (
 // lssvmJSON is the serialized model state. TrainY carries the raw
 // targets so a restored model can keep taking incremental updates
 // (absent in payloads from older versions, which then require a refit
-// before Update).
+// before Update). The fields that grow with the training set are
+// written packed and read in either form.
 type lssvmJSON struct {
 	Options Options         `json:"options"`
 	Kernel  json.RawMessage `json:"kernel"`
 	Mean    []float64       `json:"mean"`
 	Std     []float64       `json:"std"`
-	TrainX  [][]float64     `json:"train_x"`
-	TrainY  []float64       `json:"train_y,omitempty"`
-	Alpha   []float64       `json:"alpha"`
+	TrainX  packed.Matrix   `json:"train_x"`
+	TrainY  packed.Floats   `json:"train_y,omitempty"`
+	Alpha   packed.Floats   `json:"alpha"`
 	Bias    float64         `json:"bias"`
 	YMean   float64         `json:"y_mean"`
 	YStd    float64         `json:"y_std"`

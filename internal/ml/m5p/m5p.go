@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/ml/linreg"
+	"repro/internal/ml/packed"
 	"repro/internal/ml/treeutil"
 )
 
@@ -273,15 +274,15 @@ var _ ml.Regressor = (*Model)(nil)
 
 // nodeJSON is the serialized recursive tree node.
 type nodeJSON struct {
-	Feature   int       `json:"feature,omitempty"`
-	Threshold float64   `json:"threshold,omitempty"`
-	Leaf      bool      `json:"leaf"`
-	N         int       `json:"n"`
-	Mean      float64   `json:"mean"`
-	Coef      []float64 `json:"coef,omitempty"` // linear plane; empty = mean only
-	Intercept float64   `json:"intercept,omitempty"`
-	Left      *nodeJSON `json:"left,omitempty"`
-	Right     *nodeJSON `json:"right,omitempty"`
+	Feature   int           `json:"feature,omitempty"`
+	Threshold float64       `json:"threshold,omitempty"`
+	Leaf      bool          `json:"leaf"`
+	N         int           `json:"n"`
+	Mean      float64       `json:"mean"`
+	Coef      packed.Floats `json:"coef,omitempty"` // linear plane; empty = mean only
+	Intercept float64       `json:"intercept,omitempty"`
+	Left      *nodeJSON     `json:"left,omitempty"`
+	Right     *nodeJSON     `json:"right,omitempty"`
 }
 
 type m5pJSON struct {
@@ -321,15 +322,7 @@ func nodeFromJSON(nj *nodeJSON, dim int) (*node, error) {
 		if len(nj.Coef) != dim {
 			return nil, fmt.Errorf("m5p: node plane has %d coefficients, want %d", len(nj.Coef), dim)
 		}
-		lm := linreg.New()
-		raw, err := json.Marshal(map[string]any{"coef": nj.Coef, "intercept": nj.Intercept})
-		if err != nil {
-			return nil, err
-		}
-		if err := lm.UnmarshalJSON(raw); err != nil {
-			return nil, err
-		}
-		nd.model = lm
+		nd.model = linreg.FromCoef(nj.Coef, nj.Intercept)
 	}
 	if !nd.leaf {
 		if nj.Feature < 0 || nj.Feature >= dim {

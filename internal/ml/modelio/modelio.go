@@ -10,6 +10,22 @@
 // used — so the serving side can rebuild the exact feature layout and
 // projection without out-of-band knowledge. Version-1 envelopes (no
 // metadata) still load.
+//
+// Format version 3 changes only how the payloads spell their bulk float
+// arrays — the ones that grow with training rows, support vectors or tree
+// nodes (svm support_x/train_x/train_y/beta/beta_full, lssvm
+// train_x/train_y/alpha, m5p node planes): each is one base64 string of
+// little-endian float64 bits, a matrix {"rows","cols","data"} (package
+// packed), because parsing ≈50 000 decimal floats was most of a load and
+// a load runs twice, serially, between a retrain and the fleet serving
+// it (registry PUT validation, node refresh). The envelope is still one
+// JSON object; the small arrays (standardizer mean/std, linear and lasso
+// coefficients) and every scalar stay plain. Save writes version 3
+// only. Load reads 1, 2 and 3 through the same decoder — each packed
+// field accepts either spelling — and predictions from an old file are
+// bitwise what they were. A reader from before version 3 refuses a
+// version-3 file with its "unsupported format version" error, so
+// upgrade readers (nodes, registry) before writers (the trainer).
 package modelio
 
 import (
@@ -28,8 +44,9 @@ import (
 )
 
 // FormatVersion is bumped when the envelope layout changes. Version 2
-// added the optional deployment metadata block.
-const FormatVersion = 2
+// added the optional deployment metadata block, version 3 packed the
+// payloads' bulk float arrays.
+const FormatVersion = 3
 
 // Meta is the deployment metadata saved alongside a model.
 type Meta struct {
@@ -53,23 +70,31 @@ type envelope struct {
 
 const formatName = "f2pm-model"
 
+// model is what the envelope asks of a kind: it predicts, and it writes
+// and reads its own payload.
+type model interface {
+	ml.Regressor
+	json.Marshaler
+	json.Unmarshaler
+}
+
 // kindOf maps a model to its envelope tag.
-func kindOf(m ml.Regressor) (string, error) {
-	switch m.(type) {
+func kindOf(m ml.Regressor) (string, model, error) {
+	switch m := m.(type) {
 	case *linreg.Model:
-		return "linear", nil
+		return "linear", m, nil
 	case *lasso.Model:
-		return "lasso", nil
+		return "lasso", m, nil
 	case *m5p.Model:
-		return "m5p", nil
+		return "m5p", m, nil
 	case *reptree.Model:
-		return "reptree", nil
+		return "reptree", m, nil
 	case *svm.Model:
-		return "svm", nil
+		return "svm", m, nil
 	case *lssvm.Model:
-		return "lssvm", nil
+		return "lssvm", m, nil
 	default:
-		return "", fmt.Errorf("modelio: unsupported model type %T", m)
+		return "", nil, fmt.Errorf("modelio: unsupported model type %T", m)
 	}
 }
 
@@ -78,11 +103,13 @@ func Save(w io.Writer, m ml.Regressor) error { return SaveWithMeta(w, m, nil) }
 
 // SaveWithMeta writes a fitted model plus its deployment metadata.
 func SaveWithMeta(w io.Writer, m ml.Regressor, meta *Meta) error {
-	kind, err := kindOf(m)
+	kind, codec, err := kindOf(m)
 	if err != nil {
 		return err
 	}
-	payload, err := json.Marshal(m)
+	// Called directly: json.Marshal(m) would scan the payload once more
+	// to validate bytes the model's own json.Marshal just produced.
+	payload, err := codec.MarshalJSON()
 	if err != nil {
 		return fmt.Errorf("modelio: serializing %s model: %w", kind, err)
 	}
@@ -97,8 +124,9 @@ func Load(r io.Reader) (ml.Regressor, error) {
 	return m, err
 }
 
-// LoadWithMeta reads a model and its deployment metadata. Envelopes
-// from format version 1 load with nil metadata.
+// LoadWithMeta reads a model and its deployment metadata from an
+// envelope of any format version up to FormatVersion. Envelopes from
+// format version 1 load with nil metadata.
 func LoadWithMeta(r io.Reader) (ml.Regressor, *Meta, error) {
 	var env envelope
 	dec := json.NewDecoder(r)
@@ -111,7 +139,7 @@ func LoadWithMeta(r io.Reader) (ml.Regressor, *Meta, error) {
 	if env.Version < 1 || env.Version > FormatVersion {
 		return nil, nil, fmt.Errorf("modelio: unsupported format version %d (want 1..%d)", env.Version, FormatVersion)
 	}
-	var m ml.Regressor
+	var m model
 	switch env.Kind {
 	case "linear":
 		m = linreg.New()
@@ -148,7 +176,10 @@ func LoadWithMeta(r io.Reader) (ml.Regressor, *Meta, error) {
 	default:
 		return nil, nil, fmt.Errorf("modelio: unknown model kind %q", env.Kind)
 	}
-	if err := json.Unmarshal(env.Payload, m); err != nil {
+	// Called directly: the envelope decode has validated and delimited
+	// the payload and the model's json.Unmarshal validates it again;
+	// json.Unmarshal(env.Payload, m) would add two more scans of it.
+	if err := m.UnmarshalJSON(env.Payload); err != nil {
 		return nil, nil, fmt.Errorf("modelio: deserializing %s model: %w", env.Kind, err)
 	}
 	return m, env.Meta, nil

@@ -270,9 +270,13 @@ func TestLoadVersion1Envelope(t *testing.T) {
 	if err := Save(&buf, lin); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the envelope as version 1 without meta, byte-compatible
-	// with what the previous release wrote.
-	v1 := strings.Replace(buf.String(), `"version":2`, `"version":1`, 1)
+	// Rewrite the envelope as version 1 without meta; a linear payload
+	// has no packed field, so this is byte for byte what the version-1
+	// writer wrote (testdata/v1_svm.json is a real one with matrices).
+	v1 := strings.Replace(buf.String(), `"version":3`, `"version":1`, 1)
+	if v1 == buf.String() {
+		t.Fatalf("Save did not write version 3: %.60s", v1)
+	}
 	m, meta, err := LoadWithMeta(strings.NewReader(v1))
 	if err != nil {
 		t.Fatalf("version-1 envelope rejected: %v", err)

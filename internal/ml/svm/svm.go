@@ -35,6 +35,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/ml"
 	"repro/internal/ml/kernel"
+	"repro/internal/ml/packed"
 )
 
 // Options tunes the learner.
@@ -449,17 +450,18 @@ var (
 // svmJSON is the serialized model state. TrainX/TrainY/BetaFull carry
 // the full incremental state so a restored model can keep taking
 // warm-started updates (absent in payloads from older versions, which
-// then require a refit before Update).
+// then require a refit before Update). The fields that grow with the
+// training set are written packed and read in either form.
 type svmJSON struct {
 	Options  Options         `json:"options"`
 	Kernel   json.RawMessage `json:"kernel"`
 	Mean     []float64       `json:"mean"`
 	Std      []float64       `json:"std"`
-	SupportX [][]float64     `json:"support_x"`
-	Beta     []float64       `json:"beta"`
-	TrainX   [][]float64     `json:"train_x,omitempty"`
-	TrainY   []float64       `json:"train_y,omitempty"`
-	BetaFull []float64       `json:"beta_full,omitempty"`
+	SupportX packed.Matrix   `json:"support_x"`
+	Beta     packed.Floats   `json:"beta"`
+	TrainX   packed.Matrix   `json:"train_x,omitempty"`
+	TrainY   packed.Floats   `json:"train_y,omitempty"`
+	BetaFull packed.Floats   `json:"beta_full,omitempty"`
 	YMean    float64         `json:"y_mean"`
 	YStd     float64         `json:"y_std"`
 	Dim      int             `json:"dim"`

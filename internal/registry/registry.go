@@ -187,8 +187,15 @@ func etagOf(data []byte) string {
 // outcome. Garbage (anything modelio cannot load — wrong format,
 // unknown kind, truncated JSON) is rejected with the load error and
 // the current envelope keeps serving. Publishing bytes identical to
-// the current envelope is a no-op: same ETag, same version.
+// the current envelope is a no-op: same ETag, same version. The caller
+// keeps data; the registry stores a copy.
 func (s *Server) SetModel(data []byte) (PublishResult, error) {
+	return s.publish(bytes.Clone(data))
+}
+
+// publish is SetModel for bytes the registry owns from here on (the PUT
+// handler's freshly read body).
+func (s *Server) publish(data []byte) (PublishResult, error) {
 	m, _, err := modelio.LoadWithMeta(bytes.NewReader(data))
 	if err != nil {
 		return PublishResult{}, fmt.Errorf("registry: rejected envelope: %w", err)
@@ -200,7 +207,7 @@ func (s *Server) SetModel(data []byte) (PublishResult, error) {
 		s.mu.Unlock()
 		return res, nil
 	}
-	s.data = append([]byte(nil), data...)
+	s.data = data
 	s.etag = tag
 	s.kind = m.Name()
 	s.version++
@@ -345,8 +352,8 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePutModel accepts a publish: the body must load as a modelio
-// envelope (v1 or v2) or the request is rejected with 400 and the
-// current model keeps serving.
+// envelope (any format version modelio reads) or the request is rejected
+// with 400 and the current model keeps serving.
 func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBytes+1))
 	if err != nil {
@@ -357,7 +364,7 @@ func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "envelope too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	res, err := s.SetModel(body)
+	res, err := s.publish(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

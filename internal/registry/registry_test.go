@@ -16,7 +16,7 @@ import (
 )
 
 // trainedEnvelope builds a real (tiny) fitted linear model and returns
-// its v2 envelope bytes. Varying bias shifts the payload so tests can
+// its envelope bytes. Varying bias shifts the payload so tests can
 // produce distinct envelopes.
 func trainedEnvelope(t *testing.T, bias float64) []byte {
 	t.Helper()
@@ -171,6 +171,10 @@ func TestRejectGarbageKeepsServing(t *testing.T) {
 		[]byte(`{"format":"something-else","version":2,"kind":"linear","payload":{}}`),
 		[]byte(`{"format":"f2pm-model","version":99,"kind":"linear","payload":{}}`),
 		[]byte(`{"format":"f2pm-model","version":2,"kind":"nonsense","payload":{}}`),
+		// A packed matrix whose header claims more rows than its data holds.
+		[]byte(`{"format":"f2pm-model","version":3,"kind":"lssvm","payload":{"dim":1,"kernel":{"kind":"linear"},"mean":[0],"std":[1],"train_x":{"rows":2,"cols":1,"data":"AAAAAAAA8D8="},"alpha":"AAAAAAAA8D8AAAAAAADwPw=="}}`),
+		// NaN bits in a packed vector.
+		[]byte(`{"format":"f2pm-model","version":3,"kind":"lssvm","payload":{"dim":1,"kernel":{"kind":"linear"},"mean":[0],"std":[1],"train_x":{"rows":1,"cols":1,"data":"AAAAAAAA8D8="},"alpha":"AAAAAAAA+H8="}}`),
 	} {
 		if _, err := c.Publish(context.Background(), bad); err == nil {
 			t.Fatalf("garbage %q was accepted", bad)
@@ -185,6 +189,23 @@ func TestRejectGarbageKeepsServing(t *testing.T) {
 	}
 	if !bytes.Equal(got, env) {
 		t.Fatal("garbage publish corrupted the served envelope")
+	}
+}
+
+// TestSetModelKeepsItsOwnCopy pins the in-process publish: the caller's
+// slice stays the caller's (the PUT handler, which owns the body it
+// read, hands it over without a copy).
+func TestSetModelKeepsItsOwnCopy(t *testing.T) {
+	reg := New()
+	env := trainedEnvelope(t, 0)
+	want := bytes.Clone(env)
+	if _, err := reg.SetModel(env); err != nil {
+		t.Fatal(err)
+	}
+	clear(env)
+	got, _, ok := reg.Model()
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatal("the registry serves the caller's slice, not a copy of it")
 	}
 }
 
