@@ -4,3 +4,7 @@ package mat
 // previous value. On non-amd64 builds useAsm is a constant false and
 // the force is a no-op.
 func setUseAsm(on bool) (prev bool) { return swapUseAsm(on) }
+
+// PoolBudget is the free-list byte bound, for the external tests that
+// drive the shared pool through the learners.
+const PoolBudget = poolBudget

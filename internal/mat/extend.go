@@ -15,9 +15,14 @@ package mat
 // batched dot kernel and Parfor scheme as NewCholesky, so results stay
 // bitwise deterministic regardless of GOMAXPROCS.
 
-// extendGrowth is the headroom factor applied when the factor buffer
-// must be reallocated: repeated small Extends then run fully in place.
-const extendGrowth = 3 // numerator of 3/2
+// GrowCap returns the factor capacity reserved for a system of n rows:
+// an eighth spare plus a constant, so the typical incremental batches
+// extend the factor fully in place and repeated regrowth stays
+// geometric. Learners size a fresh factor with it (NewCholeskyGrow) and
+// Extend regrows to it, so a factor never owns more than
+// (9n/8 + 32)² elements — the buffer is square, so spare rows cost
+// their square in bytes.
+func GrowCap(n int) int { return n + n/8 + 32 }
 
 // Extend grows the factorization in place from the current n×n system
 // to the bordered (n+m)×(n+m) system, given the border blocks
@@ -122,8 +127,8 @@ func (c *Cholesky) Truncate(n int) {
 // common case — repeated small appends never copy), then reclaiming
 // the rows earlier Downdates abandoned in front of the origin
 // (compact: one triangle copy per capacity-ful of evictions). Only
-// when the buffer is genuinely too small does it reallocate with
-// growth headroom.
+// when the buffer is genuinely too small does it reallocate, at
+// GrowCap(nn) rows.
 func (c *Cholesky) reserve(nn int, pool *Pool) {
 	if c.origin+nn <= c.stride {
 		return
@@ -132,10 +137,7 @@ func (c *Cholesky) reserve(nn int, pool *Pool) {
 		c.compact()
 		return
 	}
-	newCap := c.stride * extendGrowth / 2
-	if newCap < nn {
-		newCap = nn
-	}
+	newCap := GrowCap(nn)
 	nd := pool.GetVec(newCap * newCap)
 	d := c.base()
 	for i := 0; i < c.n; i++ {

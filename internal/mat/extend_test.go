@@ -154,37 +154,46 @@ func TestCholExtendShapeErrors(t *testing.T) {
 	}
 }
 
-func TestPoolRecycles(t *testing.T) {
-	p := &Pool{}
-	v := p.GetVec(100)
-	if len(v) != 100 {
-		t.Fatalf("len %d", len(v))
+// TestCholeskyRegrowthIsTight pins what a factor may own: after any
+// Extend its capacity is at most GrowCap of the rows it needed at its
+// last regrowth (an eighth plus 32 spare rows — the buffer is square, so
+// row slack costs its square in bytes), and appends inside that
+// headroom never move the buffer.
+func TestCholeskyRegrowthIsTight(t *testing.T) {
+	src := randx.New(53)
+	const n0, step, n = 40, 5, 400
+	a := randSPD(src, n)
+	pool := &Pool{}
+	ch, err := NewCholesky(subSPD(a, n0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	v[0] = 42
-	p.PutVec(v)
-	w := p.GetVec(90)
-	if cap(w) != 128 {
-		t.Fatalf("want recycled cap-128 buffer, got cap %d", cap(w))
-	}
-	z := p.GetVecZero(90)
-	for i, x := range z {
-		if x != 0 {
-			t.Fatalf("GetVecZero[%d] = %g", i, x)
+	moves := 0
+	for k := n0; k < n; k += step {
+		before, spare := &ch.data[0], ch.stride-ch.origin-ch.n
+		a21, a22 := borderBlocks(a, k, k+step)
+		if err := ch.Extend(a21, a22, pool); err != nil {
+			t.Fatalf("extend at %d: %v", k, err)
+		}
+		need := k + step
+		if ch.stride < need || ch.stride > GrowCap(need) {
+			t.Fatalf("%d rows own a capacity of %d, want within [%d, %d]", need, ch.stride, need, GrowCap(need))
+		}
+		if moved := &ch.data[0] != before; moved && spare >= step {
+			t.Fatalf("extend at %d copied the factor with %d spare rows", k, spare)
+		} else if moved {
+			moves++
+			if ch.stride != GrowCap(need) {
+				t.Fatalf("regrew %d rows to %d, want GrowCap = %d", need, ch.stride, GrowCap(need))
+			}
 		}
 	}
-	// Dense round-trip.
-	d := p.GetDenseZero(10, 10)
-	d.Set(3, 4, 1)
-	p.PutDense(d)
-	e := p.GetDenseZero(10, 10)
-	if e.At(3, 4) != 0 {
-		t.Fatal("GetDenseZero returned dirty matrix")
+	// Geometric growth: 72 steps of 5 rows, but only a handful of copies
+	// (each regrowth buys need/8 + 32 rows, at least 7 steps).
+	if moves == 0 || moves > (n-n0)/step/7+1 {
+		t.Fatalf("%d regrowths over %d appends", moves, (n-n0)/step)
 	}
-	// A nil pool degrades to plain allocation.
-	var np *Pool
-	if got := np.GetVec(5); len(got) != 5 {
-		t.Fatalf("nil pool GetVec len %d", len(got))
+	if st := pool.Stats(); st.Misses != int64(moves) || st.FreeBytes == 0 {
+		t.Fatalf("pool stats %+v after %d regrowths", st, moves)
 	}
-	np.PutVec(v)
-	np.PutDense(e)
 }

@@ -69,8 +69,8 @@ func TestMatrixRowsPooled(t *testing.T) {
 		}
 		pool.PutDense(got)
 	}
-	// The pooled buffer is class-sized, so put/get round-trips reuse it
-	// — the property the warm-start allocation fix rests on.
+	// A returned buffer serves the next request of its size class — the
+	// property the warm-start allocation fix rests on.
 	first := MatrixRowsPooled(Linear{}, NewRows(randX(78, 20, 4)), pool)
 	data := &first.Row(0)[0]
 	pool.PutDense(first)

@@ -83,9 +83,22 @@ func TestExtendMatrixRowsParity(t *testing.T) {
 		if err := r.Append(X[25:]); err != nil {
 			t.Fatal(err)
 		}
-		got := ExtendMatrixRows(k, r, 25, g, pool)
+		got := ExtendMatrixRows(k, r, 25, g, 0, pool)
 		if diff := maxDiff(got, full); diff > 1e-12 {
 			t.Fatalf("%s: one-shot extend diff %g", k.Name(), diff)
+		}
+		pool.PutDense(got)
+		// Evict and append in one copy: the stored values sit in the
+		// trailing block of a Gram that still has the 9 evicted rows in
+		// front, and the result is the Gram of rows 9..n.
+		r = NewRows(X[:25])
+		g = MatrixRows(k, r)
+		if err := r.Append(X[25:]); err != nil {
+			t.Fatal(err)
+		}
+		got = ExtendMatrixRows(k, r.Tail(9), 16, g, 9, pool)
+		if diff := maxDiff(got, Matrix(k, X[9:])); diff > 1e-12 {
+			t.Fatalf("%s: evict + extend diff %g", k.Name(), diff)
 		}
 		pool.PutDense(got)
 		// Many small appends, recycling each intermediate Gram.
@@ -96,13 +109,43 @@ func TestExtendMatrixRowsParity(t *testing.T) {
 			if err := r.Append(X[at:end]); err != nil {
 				t.Fatal(err)
 			}
-			ng := ExtendMatrixRows(k, r, at, g, pool)
+			ng := ExtendMatrixRows(k, r, at, g, 0, pool)
 			pool.PutDense(g)
 			g = ng
 		}
 		if diff := maxDiff(g, full); diff > 1e-12 {
 			t.Fatalf("%s: chained extend diff %g", k.Name(), diff)
 		}
+	}
+}
+
+// panicKernel is a custom kernel whose Eval fails.
+type panicKernel struct{ funcKernel }
+
+func (panicKernel) Eval(a, b []float64) float64 { panic("eval failed") }
+
+// TestExtendMatrixRowsPanicReturnsScratch pins the one error path of
+// the extension: a custom kernel's panic during the border evaluation
+// (small enough to run on this goroutine) hands the n×n scratch back
+// to the pool instead of stranding it.
+func TestExtendMatrixRowsPanicReturnsScratch(t *testing.T) {
+	X := randX(12, 30, 4)
+	r := NewRows(X[:25])
+	g := MatrixRows(funcKernel{}, r)
+	if err := r.Append(X[25:]); err != nil {
+		t.Fatal(err)
+	}
+	pool := &mat.Pool{}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Eval panic swallowed")
+			}
+		}()
+		ExtendMatrixRows(panicKernel{}, r.Tail(5), 20, g, 5, pool)
+	}()
+	if st := pool.Stats(); st.Misses != 1 || st.FreeBytes < 25*25*8 {
+		t.Fatalf("scratch not returned: %+v", st)
 	}
 }
 

@@ -225,10 +225,8 @@ func MatrixRows(k Kernel, r *Rows) *mat.Dense {
 // MatrixRowsPooled is MatrixRows with the result drawn from pool, so
 // callers that rebuild Gram matrices repeatedly (warm-start retrains,
 // sliding windows) recycle the n² buffer instead of reallocating it.
-// Pool buffers are class-sized, which is what makes the recycle stick:
-// a plain NewDense matrix has exact capacity and PutDense silently
-// drops it. The scratch is returned to pool if a custom kernel's Eval
-// panics mid-build, matching ExtendMatrixRows.
+// The scratch is returned to pool if a custom kernel's Eval panics
+// mid-build, matching ExtendMatrixRows.
 func MatrixRowsPooled(k Kernel, r *Rows, pool *mat.Pool) *mat.Dense {
 	out := pool.GetDense(r.n, r.n)
 	done := false
@@ -325,10 +323,13 @@ func gramDots(r *Rows, out *mat.Dense, transform func(row []float64, i int)) {
 // first oldN rows of r to cover all of r (after Rows.Append), reusing
 // every stored kernel value: only the border — new rows against the
 // whole set — is evaluated, with the fused RBF/poly transforms applied
-// to border rows only. old must be the oldN×oldN matrix MatrixRows
-// produced. The result is a fresh n×n matrix (drawn from pool when
-// given); old is not modified, so the caller decides when to recycle
-// it.
+// to border rows only. old holds the stored values in its trailing
+// oldN×oldN block, behind skip leading rows and columns that belong to
+// rows since evicted from the window (skip = 0: old is exactly the
+// matrix MatrixRows produced) — so a slide that evicts and appends
+// copies the surviving block once, straight into its final place. The
+// result is a fresh n×n matrix (drawn from pool when given); old is not
+// modified, so the caller decides when to recycle it.
 //
 // The scratch matrix is handed back to pool when a custom kernel's
 // Eval panics during the border evaluation (the one error path of
@@ -337,10 +338,10 @@ func gramDots(r *Rows, out *mat.Dense, transform func(row []float64, i int)) {
 // pool. The guarantee covers the panic unwinding this goroutine: on
 // multi-core runs large borders evaluate on Parfor workers, where an
 // Eval panic is fatal to the process and pooling is moot anyway.
-func ExtendMatrixRows(k Kernel, r *Rows, oldN int, old *mat.Dense, pool *mat.Pool) *mat.Dense {
+func ExtendMatrixRows(k Kernel, r *Rows, oldN int, old *mat.Dense, skip int, pool *mat.Pool) *mat.Dense {
 	n := r.n
-	if oldN > n || old.Rows() != oldN || old.Cols() != oldN {
-		panic(fmt.Sprintf("kernel: extending %dx%d Gram to %d rows", old.Rows(), old.Cols(), n))
+	if oldN > n || skip < 0 || old.Rows() != skip+oldN || old.Cols() != skip+oldN {
+		panic(fmt.Sprintf("kernel: extending %dx%d Gram less %d rows to %d rows", old.Rows(), old.Cols(), skip, n))
 	}
 	out := pool.GetDense(n, n)
 	done := false
@@ -351,7 +352,7 @@ func ExtendMatrixRows(k Kernel, r *Rows, oldN int, old *mat.Dense, pool *mat.Poo
 	}()
 	mat.Parfor(oldN, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			copy(out.Row(i)[:oldN], old.Row(i))
+			copy(out.Row(i)[:oldN], old.Row(skip + i)[skip:])
 		}
 	})
 	transform := borderTransform(k, r)

@@ -116,16 +116,6 @@ func New(opts Options) (*Model, error) {
 // Name implements ml.Regressor; the paper's tables call this model "SVM2".
 func (m *Model) Name() string { return "svm2" }
 
-// pool recycles factor buffers, border blocks and prediction scratch
-// across models: the training pipeline fits and retrains many LS-SVMs
-// on same-sized data, so recycled buffers stay warm.
-var pool = &mat.Pool{}
-
-// growHeadroom returns the factor capacity Fit reserves for n training
-// rows: ~12% spare so the typical incremental batches extend the
-// factor fully in place.
-func growHeadroom(n int) int { return n + n/8 + 32 }
-
 // Fit solves the LS-SVM linear system. The Cholesky factor of the
 // regularized kernel matrix is retained (with spare capacity), so a
 // later Update extends it at a cost scaling with the new rows.
@@ -152,13 +142,13 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 	// The Gram is factorization scratch here — the factor copies the
 	// triangle out — so it is drawn from and returned to the pool.
 	rows := kernel.NewRows(Xs)
-	a := kernel.MatrixRowsPooled(kern, rows, pool)
+	a := kernel.MatrixRowsPooled(kern, rows, mat.Shared)
 	ridge := 1 / m.opts.Gamma
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+ridge)
 	}
-	ch, jitter, err := mat.NewCholeskyJittered(a, growHeadroom(n), pool)
-	pool.PutDense(a)
+	ch, jitter, err := mat.NewCholeskyJittered(a, mat.GrowCap(n), mat.Shared)
+	mat.Shared.PutDense(a)
 	if err != nil {
 		return fmt.Errorf("lssvm: solving kernel system: %w", err)
 	}
@@ -318,23 +308,23 @@ func (m *Model) Update(Xnew [][]float64, ynew []float64) error {
 // pooled border scratch is returned on every path. On error the factor
 // is unchanged; the caller rolls back its row store.
 func (m *Model) extendFactor(r *kernel.Rows, oldN, mNew int) error {
-	a21 := pool.GetDense(mNew, oldN)
-	a22 := pool.GetDense(mNew, mNew)
+	a21 := mat.Shared.GetDense(mNew, oldN)
+	a22 := mat.Shared.GetDense(mNew, mNew)
 	kernel.GramBorder(m.kern, r, oldN, a21, a22)
 	for i := 0; i < mNew; i++ {
 		a22.Set(i, i, a22.At(i, i)+m.diagAdd)
 	}
-	err := m.chol.Extend(a21, a22, pool)
+	err := m.chol.Extend(a21, a22, mat.Shared)
 	jitter := 1e-10 * (m.diagAdd + 1)
 	for attempt := 0; err == mat.ErrNotPositiveDefinite && attempt < 8; attempt++ {
 		for i := 0; i < mNew; i++ {
 			a22.Set(i, i, a22.At(i, i)+jitter)
 		}
-		err = m.chol.Extend(a21, a22, pool)
+		err = m.chol.Extend(a21, a22, mat.Shared)
 		jitter *= 100
 	}
-	pool.PutDense(a21)
-	pool.PutDense(a22)
+	mat.Shared.PutDense(a21)
+	mat.Shared.PutDense(a22)
 	if err != nil {
 		return fmt.Errorf("lssvm: extending kernel system: %w", err)
 	}
@@ -396,13 +386,13 @@ func (m *Model) rebuildFactor() error {
 	if len(m.yRaw) != m.trainRows.Len() {
 		return fmt.Errorf("lssvm: restored model carries no targets; refit before Update")
 	}
-	a := kernel.MatrixRowsPooled(m.kern, m.trainRows, pool)
+	a := kernel.MatrixRowsPooled(m.kern, m.trainRows, mat.Shared)
 	ridge := 1 / m.opts.Gamma
 	for i := 0; i < a.Rows(); i++ {
 		a.Set(i, i, a.At(i, i)+ridge)
 	}
-	ch, jitter, err := mat.NewCholeskyJittered(a, growHeadroom(a.Rows()), pool)
-	pool.PutDense(a)
+	ch, jitter, err := mat.NewCholeskyJittered(a, mat.GrowCap(a.Rows()), mat.Shared)
+	mat.Shared.PutDense(a)
 	if err != nil {
 		return fmt.Errorf("lssvm: refactoring kernel system: %w", err)
 	}
@@ -419,9 +409,9 @@ func (m *Model) Predict(x []float64) float64 {
 	if !m.fitted || len(x) != m.dim {
 		return math.NaN()
 	}
-	scratch := pool.GetVec(m.dim + len(m.alpha))
+	scratch := mat.Shared.GetVec(m.dim + len(m.alpha))
 	out := m.predictInto(x, scratch[:m.dim], scratch[m.dim:])
-	pool.PutVec(scratch)
+	mat.Shared.PutVec(scratch)
 	return out
 }
 
@@ -444,7 +434,7 @@ func (m *Model) PredictBatch(X [][]float64, out []float64) {
 	}
 	n := m.trainRows.Len()
 	stride := m.trainRows.Stride()
-	scratch := pool.GetVec(predictTile*stride + predictTile + predictTile*n)
+	scratch := mat.Shared.GetVec(predictTile*stride + predictTile + predictTile*n)
 	qbuf := scratch[:predictTile*stride]
 	qnorms := scratch[predictTile*stride : predictTile*stride+predictTile]
 	kbuf := scratch[predictTile*stride+predictTile:]
@@ -476,7 +466,7 @@ func (m *Model) PredictBatch(X [][]float64, out []float64) {
 			qi++
 		}
 	}
-	pool.PutVec(scratch)
+	mat.Shared.PutVec(scratch)
 }
 
 // predictInto evaluates one row using caller-provided scratch.

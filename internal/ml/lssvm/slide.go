@@ -3,6 +3,7 @@ package lssvm
 import (
 	"fmt"
 
+	"repro/internal/mat"
 	"repro/internal/ml"
 )
 
@@ -95,7 +96,7 @@ func (m *Model) SlideWindow(Xnew [][]float64, ynew []float64, evict int) error {
 	}
 	oldDiagAdd := m.diagAdd
 	if evict > 0 {
-		shift, err := m.chol.Downdate(evict, pool)
+		shift, err := m.chol.Downdate(evict, mat.Shared)
 		if err != nil {
 			// The sweep mutates in place, so the factor is lost — but
 			// the training data is not: roll the rows back and drop the

@@ -185,7 +185,7 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 	// retrain cycle (Fit/Update put the previous Gram back) recycles
 	// its largest buffer instead of reallocating n² floats per round.
 	rows := kernel.NewRows(Xs)
-	gram := kernel.MatrixRowsPooled(kern, rows, pool)
+	gram := kernel.MatrixRowsPooled(kern, rows, mat.Shared)
 	foldBias(gram)
 
 	beta, pass := solveDualFrom(gram, ys, nil, m.opts)
@@ -195,7 +195,7 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 	m.std = std
 	m.kern = kern
 	if m.gram != nil {
-		pool.PutDense(m.gram)
+		mat.Shared.PutDense(m.gram)
 	}
 	m.trainRows = rows
 	m.gram = gram
@@ -343,21 +343,17 @@ func softThreshold(z, eps float64) float64 {
 	}
 }
 
-// pool recycles prediction scratch and Gram extensions across calls and
-// models, so single-sample prediction — the live-monitoring hot path —
-// is allocation-free after warm-up and incremental updates recycle
-// their Gram-sized buffers.
-var pool = &mat.Pool{}
-
 // Predict implements ml.Regressor:
-// f(x) = Σ_i β_i (k(x_i, x) + 1), de-standardized.
+// f(x) = Σ_i β_i (k(x_i, x) + 1), de-standardized. Scratch comes from
+// the shared pool, so single-sample prediction — the live-monitoring
+// hot path — is allocation-free after warm-up.
 func (m *Model) Predict(x []float64) float64 {
 	if !m.fitted || len(x) != m.dim {
 		return math.NaN()
 	}
-	scratch := pool.GetVec(m.dim + len(m.beta))
+	scratch := mat.Shared.GetVec(m.dim + len(m.beta))
 	out := m.predictInto(x, scratch[:m.dim], scratch[m.dim:])
-	pool.PutVec(scratch)
+	mat.Shared.PutVec(scratch)
 	return out
 }
 
@@ -393,7 +389,7 @@ func (m *Model) PredictBatch(X [][]float64, out []float64) {
 		return
 	}
 	stride := m.supportRows.Stride()
-	scratch := pool.GetVec(predictTile*stride + predictTile + predictTile*nsv)
+	scratch := mat.Shared.GetVec(predictTile*stride + predictTile + predictTile*nsv)
 	qbuf := scratch[:predictTile*stride]
 	qnorms := scratch[predictTile*stride : predictTile*stride+predictTile]
 	kbuf := scratch[predictTile*stride+predictTile:]
@@ -427,7 +423,7 @@ func (m *Model) PredictBatch(X [][]float64, out []float64) {
 			qi++
 		}
 	}
-	pool.PutVec(scratch)
+	mat.Shared.PutVec(scratch)
 }
 
 // predictInto evaluates one row using caller-provided scratch: xbuf

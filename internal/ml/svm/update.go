@@ -17,8 +17,8 @@ import (
 // dual is strictly convex for positive-definite K' = K + 1, so the warm
 // solve converges to exactly the optimum a cold solve on the combined
 // window reaches — the seed only buys sweeps — which is what pins the
-// parity tests at 1e-8. Evictions reuse the trailing Gram block
-// (kernel.GramEvictRows) without re-evaluating a single kernel value.
+// parity tests at 1e-8. Evictions reuse the trailing Gram block without
+// re-evaluating a single kernel value.
 
 // Update implements ml.IncrementalRegressor: new training runs extend
 // the fitted model in place. The feature standardizer and kernel are
@@ -103,23 +103,19 @@ func (m *Model) SlideWindow(Xnew [][]float64, ynew []float64, evict int) error {
 		}
 	}
 
-	// Shrink-then-extend on the stored bias-folded Gram: the evicted
-	// rows leave as a trailing-block copy (their folded +1 survives),
-	// the border against the surviving window is evaluated raw and
-	// folded below. Neither helper mutates its input, so the previous
-	// Gram stays valid until the commit.
+	// One copy of the stored bias-folded Gram's surviving trailing
+	// block (the evicted rows simply are not copied; the survivors'
+	// folded +1 rides along) into the next Gram, whose border against
+	// the surviving window is evaluated raw and folded below. Neither
+	// helper mutates its input, so the previous Gram stays valid until
+	// the commit.
 	old := m.gram
 	next := old
-	if evict > 0 {
-		next = kernel.GramEvictRows(old, evict, pool)
-	}
 	if mNew > 0 {
-		shrunk := next
-		next = kernel.ExtendMatrixRows(m.kern, m.trainRows.Tail(evict), oldN-evict, shrunk, pool)
-		if shrunk != old {
-			pool.PutDense(shrunk)
-		}
+		next = kernel.ExtendMatrixRows(m.kern, m.trainRows.Tail(evict), oldN-evict, old, evict, mat.Shared)
 		foldBorderBias(next, oldN-evict)
+	} else if evict > 0 {
+		next = kernel.GramEvictRows(old, evict, mat.Shared)
 	}
 
 	n := oldN - evict + mNew
@@ -141,7 +137,7 @@ func (m *Model) SlideWindow(Xnew [][]float64, ynew []float64, evict int) error {
 
 	// Commit.
 	if next != old {
-		pool.PutDense(old)
+		mat.Shared.PutDense(old)
 		m.gram = next
 	}
 	m.trainRows.EvictFront(evict)
@@ -220,7 +216,7 @@ func foldBorderBias(g *mat.Dense, oldN int) {
 // before its first incremental update. Pool-backed like Fit's, so the
 // later Update's PutDense actually retains it.
 func (m *Model) rebuildGram() {
-	g := kernel.MatrixRowsPooled(m.kern, m.trainRows, pool)
+	g := kernel.MatrixRowsPooled(m.kern, m.trainRows, mat.Shared)
 	foldBias(g)
 	m.gram = g
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/ml"
 	"repro/internal/randx"
 )
@@ -346,7 +347,7 @@ func BenchmarkSVMWarmStartUpdate(b *testing.B) {
 		// Return the Gram as a long-lived pipeline's next retrain would,
 		// so the measured update draws its border-extended scratch from
 		// the pool instead of allocating ~17 MB per iteration.
-		pool.PutDense(m.gram)
+		mat.Shared.PutDense(m.gram)
 		m.gram = nil
 		b.StartTimer()
 	}
@@ -368,13 +369,13 @@ func BenchmarkSVMColdRefit(b *testing.B) {
 	}
 }
 
-// TestUpdateGramRecycled pins the warm-start allocation fix: every
-// Gram the retrain cycle builds is pool-class-sized, so the buffer one
-// update returns is the buffer a later same-class update draws —
-// previously Fit's exact-capacity matrix was silently dropped by
-// PutVec and each warm update allocated a fresh Gram-sized buffer.
+// TestUpdateGramRecycled pins the warm-start allocation fix: every Gram
+// the retrain cycle builds is drawn from and returned to mat.Shared, so
+// the buffer one update returns is the buffer a later same-class update
+// draws, and each slide draws exactly one Gram-sized buffer (the evicted
+// block is skipped in the one copy, not copied out first).
 func TestUpdateGramRecycled(t *testing.T) {
-	X, y := benchData(76)
+	X, y := benchData(72)
 	m, err := New(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -382,20 +383,29 @@ func TestUpdateGramRecycled(t *testing.T) {
 	if err := m.Fit(X[:64], y[:64]); err != nil {
 		t.Fatal(err)
 	}
-	// Updates 1 and 2 cycle two class-13 buffers (68² and 72² both
-	// round to 8192) through the pool; update 3 must draw the buffer
-	// update 1 released.
+	// 68² = 4624 and 70² = 4900 share the 1/8-octave class (4608, 5120].
+	// Updates 1 and 2 cycle two buffers of it through the pool; the
+	// evict-2-append-2 slide keeps the window at 70 rows and must draw
+	// the buffer update 1 released.
 	if err := m.Update(X[64:68], y[64:68]); err != nil {
 		t.Fatal(err)
 	}
 	first := &m.gram.Row(0)[0]
-	if err := m.Update(X[68:72], y[68:72]); err != nil {
+	if err := m.Update(X[68:70], y[68:70]); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(X[72:76], y[72:76]); err != nil {
+	before := mat.Shared.Stats()
+	if err := m.SlideWindow(X[70:72], y[70:72], 2); err != nil {
 		t.Fatal(err)
 	}
 	if &m.gram.Row(0)[0] != first {
-		t.Fatal("warm update did not recycle the pooled Gram buffer")
+		t.Fatal("warm slide did not recycle the pooled Gram buffer")
+	}
+	after := mat.Shared.Stats()
+	if draws := (after.Hits + after.Misses) - (before.Hits + before.Misses); draws != 1 {
+		t.Fatalf("evict + append slide drew %d pool buffers, want 1", draws)
+	}
+	if after.Misses != before.Misses {
+		t.Fatalf("warm slide allocated: misses %d -> %d", before.Misses, after.Misses)
 	}
 }
